@@ -96,13 +96,13 @@ def main():
               help="Use at most N clean images per group.")
 @click.option("--out", "out_dir", required=True, type=click.Path(path_type=Path))
 @click.option("--jobs", type=int, default=1, show_default=True,
-              help="Worker cap; output bytes are scheduling-independent.")
+              help="Upper bound on worker processes; output bytes do not depend on it.")
 @_guard
 def cmd_perturb(corpus_dir, registry_path, seed, group_size, out_dir, jobs):
     """Materialize one image group per registry condition."""
     reg = _load_registry(str(registry_path) if registry_path else None, group_size)
     clean = _read_clean_corpus(corpus_dir, group_size)
-    entries = registry.materialize(clean, reg, seed, out_dir)
+    entries = registry.materialize(clean, reg, seed, out_dir, jobs=jobs)
     _write_run_record(out_dir, {
         "command": "perturb",
         "corpus": str(corpus_dir),
@@ -121,9 +121,8 @@ def cmd_perturb(corpus_dir, registry_path, seed, group_size, out_dir, jobs):
               help="toy | subprocess:CMD | file:PATH")
 @click.option("--classifier-id", default="classifier", show_default=True)
 @click.option("--out", "out_path", required=True, type=click.Path(path_type=Path))
-@click.option("--jobs", type=int, default=1, show_default=True)
 @_guard
-def cmd_evaluate(corpus_dir, adapter_spec, classifier_id, out_path, jobs):
+def cmd_evaluate(corpus_dir, adapter_spec, classifier_id, out_path):
     """Run a classifier adapter over a corpus; write an accuracy table."""
     adapter = harness.make_adapter(adapter_spec, corpus_dir=corpus_dir)
     try:

@@ -147,7 +147,8 @@ class PredictionsFileAdapter:
     """
 
     def __init__(self, table_path: str | Path, corpus_dir: str | Path | None = None):
-        self.corpus_dir = Path(corpus_dir) if corpus_dir is not None else None
+        # resolved once: every lookup compares a resolved image path against it
+        self._root = Path(corpus_dir).resolve() if corpus_dir is not None else None
         self._labels: dict[str, str] = {}
         with open(table_path, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
@@ -161,9 +162,9 @@ class PredictionsFileAdapter:
     def predict_file(self, path: Path) -> str:
         path = Path(path)
         key = str(path)
-        if self.corpus_dir is not None:
+        if self._root is not None:
             try:
-                key = str(path.resolve().relative_to(self.corpus_dir.resolve()))
+                key = str(path.resolve().relative_to(self._root))
             except ValueError:
                 pass
         if key not in self._labels:

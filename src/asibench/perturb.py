@@ -9,6 +9,7 @@ reordering a sequence reassigns which random stream drives which kernel.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -109,17 +110,15 @@ def apply_gaussian_noise(img: Image, sigma: float, seed: int) -> Image:
     return Image(np.clip(img.pixels + noise, 0.0, 1.0))
 
 
-def rotate(img: Image, degrees: float) -> Image:
-    """Rotate about the image center, positive = clockwise.
+@functools.lru_cache(maxsize=16)
+def _rotation_plan(h: int, w: int, degrees: float):
+    """Inverse map of a rotation, which depends only on (h, w, degrees).
 
-    Output keeps the input dimensions; bilinear resampling; source positions
-    outside the image fill with 0.0. 0 degrees is the exact identity.
+    Returns one (index, wx, wy) triple per bilinear corner: the flat source
+    index of each output pixel's corner (``h * w`` where it lies outside the
+    image: a zero row the caller appends) and its x and y weights. All arrays
+    are read-only, so cached plans are shared safely.
     """
-    if not -360.0 < degrees < 360.0:
-        raise ParameterError(f"rotation degrees must be in (-360, 360), got {degrees}")
-    if degrees == 0.0:
-        return Image(img.pixels.copy())
-    h, w = img.height, img.width
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
     theta = math.radians(degrees)
     cos_t, sin_t = math.cos(theta), math.sin(theta)
@@ -132,25 +131,50 @@ def rotate(img: Image, degrees: float) -> Image:
 
     x0 = np.floor(src_x)
     y0 = np.floor(src_y)
-    fx = src_x - x0
-    fy = src_y - y0
-    x0 = x0.astype(np.int64)
-    y0 = y0.astype(np.int64)
+    fx = (src_x - x0).reshape(-1, 1)
+    fy = (src_y - y0).reshape(-1, 1)
+    x0 = x0.astype(np.int64).ravel()
+    y0 = y0.astype(np.int64).ravel()
 
-    def sample(yi, xi):
+    def corner(yi, xi):
         inside = (yi >= 0) & (yi < h) & (xi >= 0) & (xi < w)
-        vals = img.pixels[np.clip(yi, 0, h - 1), np.clip(xi, 0, w - 1), :]
-        return np.where(inside[:, :, np.newaxis], vals, 0.0)
+        return np.where(inside, yi * w + xi, h * w)
 
-    fx3 = fx[:, :, np.newaxis]
-    fy3 = fy[:, :, np.newaxis]
-    out = (
-        sample(y0, x0) * (1 - fx3) * (1 - fy3)
-        + sample(y0, x0 + 1) * fx3 * (1 - fy3)
-        + sample(y0 + 1, x0) * (1 - fx3) * fy3
-        + sample(y0 + 1, x0 + 1) * fx3 * fy3
+    wx0, wx1, wy0, wy1 = 1 - fx, fx, 1 - fy, fy
+    plan = (
+        (corner(y0, x0), wx0, wy0),
+        (corner(y0, x0 + 1), wx1, wy0),
+        (corner(y0 + 1, x0), wx0, wy1),
+        (corner(y0 + 1, x0 + 1), wx1, wy1),
     )
-    return Image(np.clip(out, 0.0, 1.0))
+    for arrays in plan:
+        for arr in arrays:
+            arr.setflags(write=False)
+    return plan
+
+
+def rotate(img: Image, degrees: float) -> Image:
+    """Rotate about the image center, positive = clockwise.
+
+    Output keeps the input dimensions; bilinear resampling; source positions
+    outside the image fill with 0.0. 0 degrees is the exact identity.
+    """
+    if not -360.0 < degrees < 360.0:
+        raise ParameterError(f"rotation degrees must be in (-360, 360), got {degrees}")
+    if degrees == 0.0:
+        return Image(img.pixels.copy())
+    h, w, c = img.pixels.shape
+    src = np.zeros((h * w + 1, c))  # the last row is the 0.0 fill
+    src[:-1] = img.pixels.reshape(h * w, c)
+    # sum of (v * wx) * wy over the corners in order, as the direct bilinear formula
+    out = np.zeros((h * w, c))
+    for index, wx, wy in _rotation_plan(h, w, float(degrees)):
+        term = src.take(index, axis=0)
+        term *= wx
+        term *= wy
+        out += term
+    np.clip(out, 0.0, 1.0, out=out)
+    return Image(out.reshape(h, w, c))
 
 
 def apply_step(img: Image, step: PerturbationStep, seed: int) -> Image:

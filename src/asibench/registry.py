@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -218,11 +219,78 @@ def sha256_file(path: str | Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+def _write_group(
+    clean: list[tuple[str, str, Image]], cond: Condition, seed: int, out_dir: Path
+) -> list[ManifestEntry]:
+    """Write one condition's image group; return its manifest rows."""
+    group_dir = out_dir / f"cond_{cond.id:03d}"
+    group_dir.mkdir(exist_ok=True)
+    entries = []
+    for idx, (name, true_label, img) in enumerate(clean):
+        sub_seed = derive_seed(seed, cond.id, idx)
+        result = apply_sequence(img, cond.steps, sub_seed) if cond.steps else img
+        data = netpbm_bytes(result)
+        out_path = group_dir / name
+        out_path.write_bytes(data)
+        entries.append(
+            ManifestEntry(
+                condition_id=cond.id,
+                condition_label=cond.label,
+                source_filename=name,
+                output_path=str(out_path.relative_to(out_dir)),
+                true_label=true_label,
+                checksum=hashlib.sha256(data).hexdigest(),
+            )
+        )
+    return entries
+
+
+_worker_job: tuple | None = None  # (clean, seed, out_dir) inside a pool worker
+
+
+def _init_worker(clean, seed, out_dir) -> None:
+    global _worker_job
+    _worker_job = (clean, seed, out_dir)
+
+
+def _worker_write_group(cond: Condition) -> list[ManifestEntry]:
+    clean, seed, out_dir = _worker_job
+    return _write_group(clean, cond, seed, out_dir)
+
+
+def _write_groups_in_pool(clean, conditions, seed, out_dir, workers):
+    # imported here so that importing the CLI does not pay for the pool machinery
+    import multiprocessing
+    import threading
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    # fork shares the clean corpus with the workers and skips re-importing numpy
+    # and asibench in each (about 0.3 s a call), but may deadlock a child when
+    # another thread held a lock at the fork
+    forkable = "fork" in multiprocessing.get_all_start_methods()
+    method = "fork" if forkable and threading.active_count() == 1 else "spawn"
+    pool = ProcessPoolExecutor(
+        workers,
+        mp_context=multiprocessing.get_context(method),
+        initializer=_init_worker,
+        initargs=(clean, seed, out_dir),
+    )
+    try:
+        return list(pool.map(_worker_write_group, conditions))
+    except BrokenProcessPool as exc:
+        raise ChildProcessError(f"a perturb worker process died: {exc}") from None
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def materialize(
     clean: list[tuple[str, str, Image]],
     registry: ConditionRegistry,
     seed: int,
     out_dir: str | Path,
+    *,
+    jobs: int = 1,
 ) -> list[ManifestEntry]:
     """Write one image group per condition plus a manifest.
 
@@ -230,31 +298,24 @@ def materialize(
     byte-identical re-encoding of the clean images; every other group applies
     the condition's step sequence with sub-seed derive_seed(seed, condition_id,
     image_index). Output bytes depend only on (clean, registry, seed).
+
+    ``jobs`` caps the worker processes that write groups in parallel (at most
+    one per condition and per CPU); 1 writes every group in this process.
+    The manifest is in registry order whatever the scheduling.
     """
     if not clean:
         raise ParameterError("clean corpus is empty")
+    if jobs < 1:
+        raise ParameterError(f"jobs must be >= 1, got {jobs}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    entries: list[ManifestEntry] = []
-    for cond in registry.conditions:
-        group_dir = out_dir / f"cond_{cond.id:03d}"
-        group_dir.mkdir(exist_ok=True)
-        for idx, (name, true_label, img) in enumerate(clean):
-            sub_seed = derive_seed(seed, cond.id, idx)
-            result = apply_sequence(img, cond.steps, sub_seed) if cond.steps else img
-            data = netpbm_bytes(result)
-            out_path = group_dir / name
-            out_path.write_bytes(data)
-            entries.append(
-                ManifestEntry(
-                    condition_id=cond.id,
-                    condition_label=cond.label,
-                    source_filename=name,
-                    output_path=str(out_path.relative_to(out_dir)),
-                    true_label=true_label,
-                    checksum=hashlib.sha256(data).hexdigest(),
-                )
-            )
+    conditions = registry.conditions
+    workers = min(jobs, len(conditions), os.cpu_count() or 1)
+    if workers == 1:
+        groups = [_write_group(clean, cond, seed, out_dir) for cond in conditions]
+    else:
+        groups = _write_groups_in_pool(clean, conditions, seed, out_dir, workers)
+    entries = [e for group in groups for e in group]
     with open(out_dir / MANIFEST_NAME, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=MANIFEST_FIELDS)
         writer.writeheader()

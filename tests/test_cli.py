@@ -1,4 +1,5 @@
 import math
+import os
 
 import pytest
 from click.testing import CliRunner
@@ -65,6 +66,29 @@ class TestPerturb:
         sums_a = [e.checksum for e in read_manifest(tmp_path / "a")]
         sums_b = [e.checksum for e in read_manifest(tmp_path / "b")]
         assert sums_a == sums_b
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_is_validation_error(self, runner, clean_dir, tmp_path, jobs):
+        result = runner.invoke(main, [
+            "perturb", "--corpus", str(clean_dir), "--out", str(tmp_path / "o"), "--jobs", jobs,
+        ])
+        assert result.exit_code == 1
+        assert "error: jobs must be >= 1" in result.output
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_group_write_failure_is_io_error(self, runner, clean_dir, tmp_path, jobs,
+                                             monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # run the pool on any machine
+        out = tmp_path / "corpus"
+        out.mkdir()
+        (out / "cond_005").write_text("not a directory")
+        result = runner.invoke(main, [
+            "perturb", "--corpus", str(clean_dir), "--out", str(out), "--jobs", jobs,
+        ])
+        assert result.exit_code == 2
+        assert "error:" in result.output and "cond_005" in result.output
+        assert "Traceback" not in result.output
+        assert isinstance(result.exception, SystemExit)
 
     def test_bad_registry_is_validation_error(self, runner, clean_dir, tmp_path):
         reg = tmp_path / "reg.txt"

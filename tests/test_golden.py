@@ -1,0 +1,53 @@
+"""Output bytes pinned across versions.
+
+A kernel rewrite (a cached rotation plan, a worker pool) must not change a
+single output byte. These digests were recorded from the direct, uncached
+implementation; a change here is a change of the corpus every published
+score was measured on.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from asibench.image import Image
+from asibench.perturb import rotate
+from asibench.registry import default_registry, materialize
+from conftest import synthetic_corpus
+
+MANIFEST_SHA256 = "8083d0fd5e862491f3888b4a687eb8f1b5f5434702347e2f229519338c217e4d"
+
+ROTATE_SHA256 = {
+    ("gray", 45.0): "1976baf2a9cf6114d919ebed60033ac738fa428efd93ede341c0115775a3c1de",
+    ("gray", -137.5): "fd8b3848eb6022da051366255ab161a2ee32de895fe79d148ec9e2559b9320fa",
+    ("gray", 90.0): "6a923b01b7b25099f1a4472c7278ee592bccf8e378b17279b5a97d7ee9cd48ca",
+    ("gray", 1e-3): "6a5a1ee99032fe7dd971956c5937fa5b2bfaddaa69c49d54ca547789b167951a",
+    ("rgb", 45.0): "ac2218b1fcd25b348fd58cf059858a58445c182d62f67d64bcb8c28d3c357fb6",
+    ("rgb", -137.5): "b3596dd04e699ad135f138f54839667ec9de0332af21bd0aec1e65cf684e1f9f",
+    ("rgb", 90.0): "df12c2afa4d4d46e00e6cb5505df33748b53d83bb7ee030ed41690744a50bdc1",
+    ("rgb", 1e-3): "56cd3a8dd0e934c5444d6f984ee051cea29e138878b577cb3e617aff4f5d54c5",
+}
+
+IMAGES = {
+    # non-square on purpose: a transposed index shows up here
+    "gray": lambda: Image(np.random.default_rng(8).uniform(0.0, 1.0, size=(23, 37))),
+    "rgb": lambda: Image(np.random.default_rng(7).uniform(0.0, 1.0, size=(12, 20, 3))),
+}
+
+
+def golden_corpus():
+    return synthetic_corpus(n_per_class=2, size=16) + [("rgb_00.ppm", "mid", IMAGES["rgb"]())]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_manifest_digest(tmp_path, jobs):
+    materialize(golden_corpus(), default_registry(), 42, tmp_path, jobs=jobs)
+    digest = hashlib.sha256((tmp_path / "manifest.csv").read_bytes()).hexdigest()
+    assert digest == MANIFEST_SHA256
+
+
+@pytest.mark.parametrize("name,degrees", sorted(ROTATE_SHA256))
+def test_rotate_digest(name, degrees):
+    out = rotate(IMAGES[name](), degrees)
+    assert hashlib.sha256(out.pixels.tobytes()).hexdigest() == ROTATE_SHA256[name, degrees]

@@ -133,6 +133,17 @@ class TestPredictionsFileAdapter:
         series = evaluate(adapter, corpus)
         assert all(acc == 100.0 for acc in series.accuracies())
 
+    def test_absolute_and_relative_paths_agree(self, tmp_path, corpus, monkeypatch):
+        entry = read_manifest(corpus)[0]
+        pred = tmp_path / "pred.csv"
+        pred.write_text(f"path,label\n{entry.output_path},{entry.true_label}\n")
+        monkeypatch.chdir(corpus.parent)
+        adapter = PredictionsFileAdapter(pred, corpus_dir=corpus.name)
+        relative = corpus.relative_to(corpus.parent) / entry.output_path
+        assert not relative.is_absolute()
+        assert adapter.predict_file(relative) == entry.true_label
+        assert adapter.predict_file(corpus / entry.output_path) == entry.true_label
+
     def test_missing_prediction_raises(self, tmp_path):
         pred = tmp_path / "pred.csv"
         pred.write_text("path,label\nknown.pgm,a\n")

@@ -1,8 +1,13 @@
+import multiprocessing
+import os
+import threading
+
 import numpy as np
 import pytest
 
 from asibench.errors import ManifestError, ParameterError, RegistryError
 from asibench.image import Image, read_netpbm, write_netpbm, netpbm_bytes
+from asibench import registry
 from asibench.perturb import Kind
 from asibench.registry import (
     Condition,
@@ -160,6 +165,54 @@ class TestMaterialize:
             img = read_netpbm(path)
             extreme = ((img.pixels == 0.0) | (img.pixels == 1.0)).sum()
             assert extreme == 20  # round(0.2 * 100)
+
+    def test_jobs_output_byte_identical(self, tmp_path, small_corpus, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # run the pool on any machine
+        a, b = tmp_path / "a", tmp_path / "b"
+        e1 = materialize(small_corpus[:6], tiny_registry(), 5, a, jobs=1)
+        e2 = materialize(small_corpus[:6], tiny_registry(), 5, b, jobs=2)
+        assert e1 == e2
+        files = sorted(p.relative_to(a) for p in a.rglob("*") if p.is_file())
+        assert files == sorted(p.relative_to(b) for p in b.rglob("*") if p.is_file())
+        for rel in files:
+            assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
+
+    def test_jobs_spawn_while_threads_run(self, tmp_path, small_corpus, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        methods = []
+        get_context = multiprocessing.get_context
+
+        def recording_get_context(method=None):
+            methods.append(method)
+            return get_context(method)
+
+        monkeypatch.setattr(multiprocessing, "get_context", recording_get_context)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(60,))
+        other.start()
+        try:
+            e2 = materialize(small_corpus[:3], tiny_registry(), 5, tmp_path / "b", jobs=2)
+        finally:
+            release.set()
+            other.join(timeout=60)
+        assert not other.is_alive()
+        assert methods == ["spawn"]
+        assert e2 == materialize(small_corpus[:3], tiny_registry(), 5, tmp_path / "a", jobs=1)
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="the patch reaches the workers only through fork")
+    def test_worker_death_is_child_process_error(self, tmp_path, small_corpus, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        # a forked worker inherits the patch and exits without an answer
+        monkeypatch.setattr(registry, "_write_group", lambda *args: os._exit(3))
+        with pytest.raises(ChildProcessError, match="worker process died"):
+            materialize(small_corpus[:2], tiny_registry(), 0, tmp_path, jobs=2)
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_rejected(self, tmp_path, small_corpus, jobs):
+        with pytest.raises(ParameterError, match="jobs"):
+            materialize(small_corpus[:2], tiny_registry(), 0, tmp_path / "out", jobs=jobs)
+        assert not (tmp_path / "out").exists()
 
     def test_empty_corpus_rejected(self, tmp_path):
         with pytest.raises(ParameterError):
