@@ -9,7 +9,12 @@ instead.
 
 from __future__ import annotations
 
+import codecs
 import csv
+import io
+import locale
+import os
+import select
 import shlex
 import subprocess
 from dataclasses import dataclass
@@ -95,14 +100,25 @@ class ToyClassifierAdapter:
         )
         return best
 
+    def predict_files(self, paths: list[Path]) -> list[str]:
+        return [self.predict_file(p) for p in paths]
+
     def close(self) -> None:
         pass
+
+
+# Paths a subprocess adapter may have been sent but not yet answered.
+WINDOW = 64
+# Seconds a subprocess adapter has to exit once its input is closed.
+CLOSE_WAIT_S = 10.0
 
 
 class SubprocessAdapter:
     """Line-protocol adapter: write an absolute image path, read back a label.
 
-    One long-lived process per evaluation run; both sides flush per line.
+    One long-lived process per adapter, started on first use and never
+    restarted. Up to ``WINDOW`` paths are in flight; the process answers one
+    line per path, in request order, flushing each line.
     """
 
     def __init__(self, command: str):
@@ -110,33 +126,85 @@ class SubprocessAdapter:
         self._proc = None
 
     def _ensure(self):
-        if self._proc is None or self._proc.poll() is not None:
+        if self._proc is None:
             self._proc = subprocess.Popen(
                 shlex.split(self.command),
                 stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE,
-                text=True,
-                bufsize=1,
+                bufsize=0,
             )
+            # a blocking write could wait on a full pipe while the process
+            # waits on us to read its answers
+            os.set_blocking(self._proc.stdin.fileno(), False)
+        elif self._proc.poll() is not None:
+            raise AdapterError(self._exited())
         return self._proc
 
+    def _exited(self) -> str:
+        return f"adapter process {self.command!r} exited with status {self._proc.returncode}"
+
     def predict_file(self, path: Path) -> str:
+        return self.predict_files([path])[0]
+
+    def predict_files(self, paths: list[Path]) -> list[str]:
+        """One label per path, in order, with up to ``WINDOW`` paths in flight."""
         proc = self._ensure()
-        try:
-            proc.stdin.write(str(Path(path).resolve()) + "\n")
-            proc.stdin.flush()
-            line = proc.stdout.readline()
-        except (BrokenPipeError, OSError) as exc:
-            raise AdapterError(f"adapter process failed on {path}: {exc}") from exc
-        if line == "":
-            raise AdapterError(f"adapter process gave no response for {path}")
-        return line.rstrip("\n")
+        in_fd, out_fd = proc.stdin.fileno(), proc.stdout.fileno()
+        # the encoding and newline handling of a text-mode pipe
+        encoding = locale.getpreferredencoding(False)
+        decoder = io.IncrementalNewlineDecoder(
+            codecs.getincrementaldecoder(encoding)(), translate=True
+        )
+        labels: list[str] = []
+        partial = ""  # decoded text after the last newline
+        pending = b""  # encoded paths not yet written
+        sent = 0
+        while len(labels) < len(paths):
+            if not pending and sent < len(paths) and sent - len(labels) < WINDOW:
+                stop = min(len(paths), len(labels) + WINDOW)
+                pending = b"".join(
+                    (os.path.abspath(p) + "\n").encode(encoding) for p in paths[sent:stop]
+                )
+                sent = stop
+            readable, writable, _ = select.select([out_fd], [in_fd] if pending else [], [])
+            if writable:
+                try:
+                    pending = pending[os.write(in_fd, pending):]
+                except BlockingIOError:
+                    pass
+                except BrokenPipeError as exc:
+                    raise AdapterError(
+                        f"adapter process failed on {paths[len(labels)]}: {exc}"
+                    ) from exc
+            if readable:
+                chunk = os.read(out_fd, 65536)
+                *lines, partial = (partial + decoder.decode(chunk, final=not chunk)).split("\n")
+                labels += lines
+                if not chunk:
+                    if partial:
+                        labels.append(partial)
+                    if len(labels) < len(paths):
+                        reason = self._exited() if proc.poll() is not None else "closed its output"
+                        raise AdapterError(
+                            f"adapter process gave no response for {paths[len(labels)]}: {reason}"
+                        )
+        return labels[: len(paths)]
 
     def close(self) -> None:
-        if self._proc is not None and self._proc.poll() is None:
-            self._proc.stdin.close()
-            self._proc.wait(timeout=10)
-        self._proc = None
+        proc = self._proc
+        if proc is None:
+            return
+        proc.stdin.close()
+        proc.stdout.close()
+        try:
+            proc.wait(timeout=CLOSE_WAIT_S)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait()
+            raise TimeoutError(
+                f"adapter process {self.command!r} did not exit within {CLOSE_WAIT_S:g} s "
+                "of its input closing; killed it"
+            ) from None
 
 
 class PredictionsFileAdapter:
@@ -171,6 +239,9 @@ class PredictionsFileAdapter:
             raise AdapterError(f"no prediction recorded for {key}")
         return self._labels[key]
 
+    def predict_files(self, paths: list[Path]) -> list[str]:
+        return [self.predict_file(p) for p in paths]
+
     def close(self) -> None:
         pass
 
@@ -191,8 +262,10 @@ def evaluate(adapter, corpus_dir: str | Path, classifier_id: str = "classifier")
 
     Verifies every manifest checksum before any prediction. A ToyClassifier
     adapter that has not been fitted is fitted on the clean group (condition 0)
-    using the manifest's true labels. Any non-matching response, including an
-    empty one, counts as incorrect.
+    using the manifest's true labels. The adapter then gets one
+    ``predict_files`` call with every image path, each the manifest path under
+    the resolved corpus root, by condition id and then in manifest order. Any
+    non-matching response, including an empty one, counts as incorrect.
     """
     corpus_dir = Path(corpus_dir)
     entries = read_manifest(corpus_dir)
@@ -211,16 +284,18 @@ def evaluate(adapter, corpus_dir: str | Path, classifier_id: str = "classifier")
             [e.true_label for e in clean],
         )
 
-    results = []
-    for cond_id in sorted(by_condition):
-        group = by_condition[cond_id]
-        correct = 0
-        for e in group:
-            predicted = adapter.predict_file(corpus_dir / e.output_path)
-            if predicted == e.true_label:
-                correct += 1
-        results.append((cond_id, 100.0 * correct / len(group)))
-    return AccuracySeries(classifier_id, tuple(results))
+    cond_ids = sorted(by_condition)
+    ordered = [e for cond_id in cond_ids for e in by_condition[cond_id]]
+    root = corpus_dir.resolve()
+    predicted = adapter.predict_files([root / e.output_path for e in ordered])
+    correct = dict.fromkeys(cond_ids, 0)
+    for e, label in zip(ordered, predicted):
+        if label == e.true_label:
+            correct[e.condition_id] += 1
+    return AccuracySeries(
+        classifier_id,
+        tuple((c, 100.0 * correct[c] / len(by_condition[c])) for c in cond_ids),
+    )
 
 
 ACCURACY_TABLE_HEADER = ["classifier", "condition", "accuracy"]

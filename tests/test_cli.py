@@ -1,9 +1,13 @@
 import math
 import os
+import shlex
+import sys
+import textwrap
 
 import pytest
 from click.testing import CliRunner
 
+from asibench import harness
 from asibench.cli import main
 from asibench.registry import read_manifest
 from conftest import synthetic_corpus, write_clean_corpus
@@ -131,6 +135,41 @@ class TestEvaluateAndScore:
         assert 0.0 <= float(cv)
         assert 0.0 <= float(mean) <= 100.0
         assert -1.0 <= float(asi_val) <= 1.0
+
+    def _evaluate_with_child(self, runner, materialized, tmp_path, source):
+        script = tmp_path / "child.py"
+        script.write_text(textwrap.dedent(source))
+        return runner.invoke(main, [
+            "evaluate", "--corpus", str(materialized),
+            "--adapter", "subprocess:" + shlex.join([sys.executable, str(script)]),
+            "--out", str(tmp_path / "acc.csv"),
+        ])
+
+    def test_subprocess_child_that_dies_mid_run(self, runner, materialized, tmp_path):
+        result = self._evaluate_with_child(runner, materialized, tmp_path, """\
+            import sys
+            sys.stdin.readline()
+            print("dark", flush=True)
+            sys.exit(3)
+        """)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "error: adapter process" in result.output
+        assert not (tmp_path / "acc.csv").exists()
+
+    def test_subprocess_child_that_outlives_close(self, runner, materialized, tmp_path,
+                                                  monkeypatch):
+        monkeypatch.setattr(harness, "CLOSE_WAIT_S", 0.2)
+        result = self._evaluate_with_child(runner, materialized, tmp_path, """\
+            import sys, time
+            for line in sys.stdin:
+                print("dark", flush=True)
+            time.sleep(60)
+        """)
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "error: adapter process" in result.output
+        assert "did not exit" in result.output
 
     def test_score_perfect_classifier(self, runner, tmp_path):
         table = tmp_path / "acc.csv"

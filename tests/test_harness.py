@@ -1,10 +1,14 @@
+import shlex
 import sys
 import textwrap
+import threading
 
 import pytest
 
+from asibench import harness
 from asibench.errors import AdapterError, ParameterError
 from asibench.harness import (
+    WINDOW,
     AccuracySeries,
     PredictionsFileAdapter,
     SubprocessAdapter,
@@ -27,6 +31,9 @@ class FixedAdapter:
 
     def predict_file(self, path):
         return self.labels[str(path)]
+
+    def predict_files(self, paths):
+        return [self.predict_file(p) for p in paths]
 
     def close(self):
         pass
@@ -98,6 +105,18 @@ class TestEvaluate:
         assert all(acc == 0.0 for acc in series.accuracies())
 
 
+def child_adapter(tmp_path, source, *args):
+    """A SubprocessAdapter running the given Python source as its child."""
+    script = tmp_path / "child.py"
+    script.write_text(textwrap.dedent(source))
+    return SubprocessAdapter(shlex.join([sys.executable, str(script), *map(str, args)]))
+
+
+def evaluation_order(corpus):
+    """Manifest entries by condition id, then in manifest order."""
+    return sorted(read_manifest(corpus), key=lambda e: e.condition_id)
+
+
 class TestSubprocessAdapter:
     def test_line_protocol(self, tmp_path, corpus):
         script = tmp_path / "clf.py"
@@ -121,6 +140,109 @@ class TestSubprocessAdapter:
         with pytest.raises(AdapterError):
             adapter.predict_file(tmp_path / "x.pgm")
         adapter.close()
+        assert adapter._proc.stdin.closed and adapter._proc.stdout.closed
+
+    def test_child_receives_manifest_paths_under_resolved_root(
+        self, tmp_path, corpus, monkeypatch
+    ):
+        received = tmp_path / "received.bin"
+        adapter = child_adapter(tmp_path, f"""\
+            import sys
+            with open({str(received)!r}, "wb") as log:
+                for line in sys.stdin.buffer:
+                    log.write(line)
+                    print("x", flush=True)
+        """)
+        monkeypatch.chdir(corpus.parent)
+        try:
+            evaluate(adapter, corpus.name)
+        finally:
+            adapter.close()
+        expected = "".join(
+            f"{corpus.resolve() / e.output_path}\n" for e in evaluation_order(corpus)
+        )
+        assert received.read_bytes() == expected.encode()
+
+    def test_crlf_empty_and_unterminated_answers(self, tmp_path, corpus):
+        ordered = evaluation_order(corpus)
+        # every fifth answer is empty; the last one has no line ending
+        assert (len(ordered) - 1) % 5
+        adapter = child_adapter(tmp_path, """\
+            import sys
+            total = int(sys.argv[1])
+            for i, line in enumerate(sys.stdin):
+                label = "" if i % 5 == 0 else line.rsplit("/", 1)[-1].split("_")[0]
+                if i == total - 1:
+                    sys.stdout.write(label)
+                    break
+                sys.stdout.write(label + ("\\r\\n" if i % 2 else "\\n"))
+                sys.stdout.flush()
+        """, len(ordered))
+        try:
+            series = evaluate(adapter, corpus)
+        finally:
+            adapter.close()
+        correct, total = {}, {}
+        for i, e in enumerate(ordered):
+            total[e.condition_id] = total.get(e.condition_id, 0) + 1
+            correct[e.condition_id] = correct.get(e.condition_id, 0) + (i % 5 != 0)
+        assert series.entries == tuple(
+            (c, 100.0 * correct[c] / total[c]) for c in sorted(total)
+        )
+
+    def test_long_paths_beyond_the_window_do_not_deadlock(self, tmp_path):
+        adapter = child_adapter(tmp_path, """\
+            import sys
+            for line in sys.stdin:
+                sys.stdout.write(line)
+                sys.stdout.flush()
+        """)
+        # a window of these paths is several times what a pipe buffers
+        paths = [f"/{'d' * 4000}/img_{i:04d}.pgm" for i in range(3 * WINDOW)]
+        result = []
+        worker = threading.Thread(
+            target=lambda: result.append(adapter.predict_files(paths)), daemon=True
+        )
+        worker.start()
+        worker.join(timeout=30)
+        deadlocked = worker.is_alive()
+        if deadlocked:
+            adapter._proc.kill()
+            worker.join(timeout=10)
+        adapter.close()
+        assert not deadlocked
+        assert result == [paths]
+
+    def test_child_that_exits_is_not_restarted(self, tmp_path):
+        pids = tmp_path / "pids.txt"
+        adapter = child_adapter(tmp_path, f"""\
+            import os, sys
+            with open({str(pids)!r}, "a") as fh:
+                fh.write(f"{{os.getpid()}}\\n")
+            sys.stdin.readline()
+            print("a", flush=True)
+        """)
+        try:
+            assert adapter.predict_file(tmp_path / "1.pgm") == "a"
+            with pytest.raises(AdapterError):
+                adapter.predict_file(tmp_path / "2.pgm")
+            adapter._proc.wait(timeout=10)
+            with pytest.raises(AdapterError, match="exited with status 0"):
+                adapter.predict_files([tmp_path / "3.pgm"])
+        finally:
+            adapter.close()
+        assert len(pids.read_text().splitlines()) == 1
+
+    def test_close_kills_a_child_that_does_not_exit(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "CLOSE_WAIT_S", 0.2)
+        adapter = child_adapter(tmp_path, """\
+            import time
+            time.sleep(60)
+        """)
+        proc = adapter._ensure()
+        with pytest.raises(TimeoutError, match="killed"):
+            adapter.close()
+        assert proc.returncode is not None
 
 
 class TestPredictionsFileAdapter:
