@@ -9,14 +9,11 @@ instead.
 
 from __future__ import annotations
 
-import codecs
 import csv
-import io
-import locale
 import os
-import select
 import shlex
 import subprocess
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -117,13 +114,17 @@ class SubprocessAdapter:
     """Line-protocol adapter: write an absolute image path, read back a label.
 
     One long-lived process per adapter, started on first use and never
-    restarted. Up to ``WINDOW`` paths are in flight; the process answers one
-    line per path, in request order, flushing each line.
+    restarted; it answers one line per path, in request order, flushing each
+    line. ``predict_files`` keeps up to ``WINDOW`` paths in flight: a writer
+    thread sends the next path whenever a slot of the window is free, and each
+    ``predict_file`` call reads one answer and frees a slot.
     """
 
     def __init__(self, command: str):
         self.command = command
         self._proc = None
+        self._slots = None  # the window of the predict_files call under way
+        self._send_error = None  # why the writer thread stopped early
 
     def _ensure(self):
         if self._proc is None:
@@ -131,11 +132,9 @@ class SubprocessAdapter:
                 shlex.split(self.command),
                 stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE,
-                bufsize=0,
+                text=True,
+                bufsize=1,
             )
-            # a blocking write could wait on a full pipe while the process
-            # waits on us to read its answers
-            os.set_blocking(self._proc.stdin.fileno(), False)
         elif self._proc.poll() is not None:
             raise AdapterError(self._exited())
         return self._proc
@@ -144,57 +143,65 @@ class SubprocessAdapter:
         return f"adapter process {self.command!r} exited with status {self._proc.returncode}"
 
     def predict_file(self, path: Path) -> str:
-        return self.predict_files([path])[0]
+        if self._slots is None:
+            return self.predict_files([path])[0]
+        line = self._proc.stdout.readline()
+        if line == "":
+            error = self._send_error
+            if error is not None and not isinstance(error, OSError):
+                reason = f"sending a path failed: {error!r}"
+            elif self._proc.poll() is not None:
+                reason = self._exited()
+            else:
+                reason = "it closed its output"
+            raise AdapterError(f"adapter process gave no response for {path}: {reason}") from error
+        self._slots.release()
+        return line.rstrip("\n")
 
     def predict_files(self, paths: list[Path]) -> list[str]:
         """One label per path, in order, with up to ``WINDOW`` paths in flight."""
         proc = self._ensure()
-        in_fd, out_fd = proc.stdin.fileno(), proc.stdout.fileno()
-        # the encoding and newline handling of a text-mode pipe
-        encoding = locale.getpreferredencoding(False)
-        decoder = io.IncrementalNewlineDecoder(
-            codecs.getincrementaldecoder(encoding)(), translate=True
+        slots = threading.Semaphore(WINDOW)
+        done = threading.Event()
+        writer = threading.Thread(
+            target=self._send, args=(proc.stdin, paths, slots, done), daemon=True
         )
-        labels: list[str] = []
-        partial = ""  # decoded text after the last newline
-        pending = b""  # encoded paths not yet written
-        sent = 0
-        while len(labels) < len(paths):
-            if not pending and sent < len(paths) and sent - len(labels) < WINDOW:
-                stop = min(len(paths), len(labels) + WINDOW)
-                pending = b"".join(
-                    (os.path.abspath(p) + "\n").encode(encoding) for p in paths[sent:stop]
-                )
-                sent = stop
-            readable, writable, _ = select.select([out_fd], [in_fd] if pending else [], [])
-            if writable:
-                try:
-                    pending = pending[os.write(in_fd, pending):]
-                except BlockingIOError:
-                    pass
-                except BrokenPipeError as exc:
-                    raise AdapterError(
-                        f"adapter process failed on {paths[len(labels)]}: {exc}"
-                    ) from exc
-            if readable:
-                chunk = os.read(out_fd, 65536)
-                *lines, partial = (partial + decoder.decode(chunk, final=not chunk)).split("\n")
-                labels += lines
-                if not chunk:
-                    if partial:
-                        labels.append(partial)
-                    if len(labels) < len(paths):
-                        reason = self._exited() if proc.poll() is not None else "closed its output"
-                        raise AdapterError(
-                            f"adapter process gave no response for {paths[len(labels)]}: {reason}"
-                        )
-        return labels[: len(paths)]
+        self._slots, self._send_error = slots, None
+        writer.start()
+        try:
+            return [self.predict_file(p) for p in paths]
+        finally:
+            self._slots = None
+            done.set()
+            slots.release(WINDOW)
+            writer.join(CLOSE_WAIT_S)
+            if writer.is_alive():  # blocked on a process that stopped reading
+                proc.kill()
+                writer.join()
+
+    def _send(self, stdin, paths, slots, done) -> None:
+        try:
+            for path in paths:
+                slots.acquire()
+                if done.is_set():
+                    return
+                stdin.write(os.path.abspath(path) + "\n")
+        except Exception as exc:  # reported by predict_file, in the calling thread
+            self._send_error = exc
+            # the process sees its input end, so predict_file does not wait forever
+            try:
+                stdin.close()
+            except OSError:
+                pass
 
     def close(self) -> None:
         proc = self._proc
         if proc is None:
             return
-        proc.stdin.close()
+        try:
+            proc.stdin.close()
+        except BrokenPipeError:
+            pass  # a path still buffered for a process that has exited
         proc.stdout.close()
         try:
             proc.wait(timeout=CLOSE_WAIT_S)
@@ -262,10 +269,12 @@ def evaluate(adapter, corpus_dir: str | Path, classifier_id: str = "classifier")
 
     Verifies every manifest checksum before any prediction. A ToyClassifier
     adapter that has not been fitted is fitted on the clean group (condition 0)
-    using the manifest's true labels. The adapter then gets one
-    ``predict_files`` call with every image path, each the manifest path under
-    the resolved corpus root, by condition id and then in manifest order. Any
-    non-matching response, including an empty one, counts as incorrect.
+    using the manifest's true labels, and a PredictionsFileAdapter made without
+    a corpus_dir takes this corpus as the root its keys are relative to. The
+    adapter then gets one ``predict_files`` call with every image path, each
+    the manifest path under the resolved corpus root, by condition id and then
+    in manifest order. Any non-matching response, including an empty one,
+    counts as incorrect.
     """
     corpus_dir = Path(corpus_dir)
     entries = read_manifest(corpus_dir)
@@ -287,6 +296,8 @@ def evaluate(adapter, corpus_dir: str | Path, classifier_id: str = "classifier")
     cond_ids = sorted(by_condition)
     ordered = [e for cond_id in cond_ids for e in by_condition[cond_id]]
     root = corpus_dir.resolve()
+    if isinstance(adapter, PredictionsFileAdapter) and adapter._root is None:
+        adapter._root = root
     predicted = adapter.predict_files([root / e.output_path for e in ordered])
     correct = dict.fromkeys(cond_ids, 0)
     for e, label in zip(ordered, predicted):

@@ -112,6 +112,36 @@ def child_adapter(tmp_path, source, *args):
     return SubprocessAdapter(shlex.join([sys.executable, str(script), *map(str, args)]))
 
 
+ECHO = """\
+    import sys
+    for line in sys.stdin:
+        sys.stdout.write(line)
+        sys.stdout.flush()
+"""
+
+
+def predict_within(adapter, paths, seconds=30):
+    """Run predict_files in a thread, so that a deadlock fails instead of hanging."""
+    outcome = []
+
+    def run():
+        try:
+            outcome.append(adapter.predict_files(paths))
+        except Exception as exc:
+            outcome.append(exc)
+
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(timeout=seconds)
+    deadlocked = worker.is_alive()
+    if deadlocked:
+        adapter._proc.kill()
+        worker.join(timeout=10)
+    adapter.close()
+    assert not deadlocked
+    return outcome[0]
+
+
 def evaluation_order(corpus):
     """Manifest entries by condition id, then in manifest order."""
     return sorted(read_manifest(corpus), key=lambda e: e.condition_id)
@@ -191,27 +221,35 @@ class TestSubprocessAdapter:
         )
 
     def test_long_paths_beyond_the_window_do_not_deadlock(self, tmp_path):
-        adapter = child_adapter(tmp_path, """\
-            import sys
-            for line in sys.stdin:
-                sys.stdout.write(line)
-                sys.stdout.flush()
-        """)
+        adapter = child_adapter(tmp_path, ECHO)
         # a window of these paths is several times what a pipe buffers
         paths = [f"/{'d' * 4000}/img_{i:04d}.pgm" for i in range(3 * WINDOW)]
-        result = []
-        worker = threading.Thread(
-            target=lambda: result.append(adapter.predict_files(paths)), daemon=True
-        )
-        worker.start()
-        worker.join(timeout=30)
-        deadlocked = worker.is_alive()
-        if deadlocked:
-            adapter._proc.kill()
-            worker.join(timeout=10)
-        adapter.close()
-        assert not deadlocked
-        assert result == [paths]
+        assert predict_within(adapter, paths) == paths
+
+    def test_a_path_that_cannot_be_sent_is_an_adapter_error(self, tmp_path):
+        adapter = child_adapter(tmp_path, ECHO)
+        # a lone surrogate, as os.fsdecode gives for undecodable bytes
+        paths = [f"/img_{i}.pgm" for i in range(3)] + ["/img_\udcff.pgm", "/img_4.pgm"]
+        error = predict_within(adapter, paths)
+        assert isinstance(error, AdapterError)
+        assert "/img_\udcff.pgm" in str(error) and "sending a path failed" in str(error)
+
+    def test_every_answer_goes_through_predict_file(self, tmp_path, corpus, monkeypatch):
+        # the benchmark's tracer counts and times predict_file calls by name
+        seen = []
+        predict_file = SubprocessAdapter.predict_file
+
+        def recorded(adapter, path):
+            seen.append(path)
+            return predict_file(adapter, path)
+
+        monkeypatch.setattr(SubprocessAdapter, "predict_file", recorded)
+        adapter = child_adapter(tmp_path, ECHO)
+        try:
+            evaluate(adapter, corpus)
+        finally:
+            adapter.close()
+        assert seen == [corpus.resolve() / e.output_path for e in evaluation_order(corpus)]
 
     def test_child_that_exits_is_not_restarted(self, tmp_path):
         pids = tmp_path / "pids.txt"
@@ -265,6 +303,20 @@ class TestPredictionsFileAdapter:
         assert not relative.is_absolute()
         assert adapter.predict_file(relative) == entry.true_label
         assert adapter.predict_file(corpus / entry.output_path) == entry.true_label
+
+    def test_without_corpus_dir_keys_are_relative_to_the_evaluated_corpus(
+        self, tmp_path, corpus, monkeypatch
+    ):
+        entries = read_manifest(corpus)
+        pred = tmp_path / "pred.csv"
+        pred.write_text(
+            "path,label\n" + "".join(f"{e.output_path},{e.true_label}\n" for e in entries)
+        )
+        monkeypatch.chdir(corpus)
+        series = evaluate(PredictionsFileAdapter(pred), ".")
+        assert all(acc == 100.0 for acc in series.accuracies())
+        series = evaluate(PredictionsFileAdapter(pred), corpus)
+        assert all(acc == 100.0 for acc in series.accuracies())
 
     def test_missing_prediction_raises(self, tmp_path):
         pred = tmp_path / "pred.csv"
