@@ -20,8 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import AdapterError, ParameterError
-from .image import Image, read_netpbm
-from .registry import ManifestEntry, read_manifest, verify_manifest
+# read_netpbm stays importable from here: perfbench/tracing.py wraps it under this module's name
+from .image import decode_netpbm, read_netpbm  # noqa: F401
+from .registry import ManifestEntry, read_manifest, verified_files, verify_manifest
 
 __all__ = [
     "AccuracySeries",
@@ -59,43 +60,86 @@ class AccuracySeries:
         return [a for _, a in self.entries]
 
 
-def _features(img: Image) -> np.ndarray:
-    """Per-channel mean and standard deviation of pixel intensities."""
-    flat = img.pixels.reshape(-1, img.channels)
-    return np.concatenate([flat.mean(axis=0), flat.std(axis=0)])
-
-
 class ToyClassifierAdapter:
-    """Nearest-centroid classifier over per-image pixel statistics.
+    """Nearest-centroid classifier over per-channel pixel mean and standard deviation.
 
     Fit on the clean group of the corpus being evaluated; deterministic, no
     learned randomness. Ties break toward the lexicographically smallest label.
     """
 
     def __init__(self):
-        self._centroids: dict[str, np.ndarray] = {}
+        self._labels: list[str] = []  # sorted once, at fit
+        self._centroids: list[np.ndarray] = []  # one per label, in that order
+        self._channels = 0  # of the images fitted on or seen so far
+        self._seen: dict[Path, np.ndarray] = {}  # features of the last prepared corpus
+        self._scratch = np.empty(0)  # float64 pixels, grown to the largest image
 
-    @property
-    def fitted(self) -> bool:
-        return bool(self._centroids)
-
-    def fit(self, images: list[Image], labels: list[str]) -> None:
+    def fit(self, features: list[np.ndarray], labels: list[str]) -> None:
+        """One centroid per label: the mean feature vector of its images."""
         groups: dict[str, list[np.ndarray]] = {}
-        for img, label in zip(images, labels):
-            groups.setdefault(label, []).append(_features(img))
-        self._centroids = {
-            label: np.mean(feats, axis=0) for label, feats in groups.items()
-        }
+        for feat, label in zip(features, labels):
+            groups.setdefault(label, []).append(feat)
+        self._labels = sorted(groups)
+        self._centroids = [np.mean(groups[label], axis=0) for label in self._labels]
+        self._channels = self._centroids[0].size // 2
+
+    def _features(self, data: bytes, path: Path) -> np.ndarray:
+        """Per-channel mean and standard deviation of the decoded pixels / 255.
+
+        The same ufunc steps as ``np.mean`` and ``np.std`` (sum, divide; subtract,
+        square, sum, divide, sqrt) over the same float64 layout, so the result is
+        bit for bit theirs, computed in one reused buffer instead of per-image
+        temporaries.
+        """
+        pixels = decode_netpbm(data, path)
+        h, w, c = pixels.shape
+        if self._channels and c != self._channels:
+            raise AdapterError(
+                f"{path} has {c} channels where the toy classifier has {self._channels}; "
+                "it needs one channel count for the whole corpus"
+            )
+        self._channels = c
+        n = h * w
+        if self._scratch.size < n * c:
+            self._scratch = np.empty(n * c)
+        x = self._scratch[: n * c].reshape(n, c)
+        np.divide(pixels.reshape(n, c), 255.0, out=x)
+        feat = np.empty(2 * c)
+        mean, std = feat[:c], feat[c:]
+        np.add.reduce(x, axis=0, out=mean)
+        np.divide(mean, n, out=mean)
+        np.subtract(x, mean, out=x)
+        np.multiply(x, x, out=x)
+        np.add.reduce(x, axis=0, out=std)
+        np.divide(std, n, out=std)
+        np.sqrt(std, out=std)
+        return feat
+
+    def prepare(self, root: Path, files) -> None:
+        """Compute every image's features from its verified bytes; fit on condition 0 if unfitted."""
+        if not self._centroids:
+            self._channels = 0
+        self._seen = {}
+        clean, labels = [], []
+        for entry, data in files:
+            path = root / entry.output_path
+            feat = self._seen[path] = self._features(data, path)
+            if entry.condition_id == 0:
+                clean.append(feat)
+                labels.append(entry.true_label)
+        if not self._centroids:
+            if not clean:
+                raise AdapterError("corpus has no clean group (condition 0) to fit on")
+            self.fit(clean, labels)
 
     def predict_file(self, path: Path) -> str:
         if not self._centroids:
             raise AdapterError("toy classifier used before fitting")
-        feat = _features(read_netpbm(path))
-        best = min(
-            sorted(self._centroids),
-            key=lambda label: float(np.linalg.norm(feat - self._centroids[label])),
-        )
-        return best
+        feat = self._seen.get(path)
+        if feat is None:
+            feat = self._features(Path(path).read_bytes(), path)
+        distances = [float(np.linalg.norm(feat - c)) for c in self._centroids]
+        return self._labels[distances.index(min(distances))]
 
     def predict_files(self, paths: list[Path]) -> list[str]:
         return [self.predict_file(p) for p in paths]
@@ -246,6 +290,11 @@ class PredictionsFileAdapter:
             raise AdapterError(f"no prediction recorded for {key}")
         return self._labels[key]
 
+    def prepare(self, root: Path, files) -> None:
+        """Without a corpus_dir, keys are relative to the corpus being evaluated."""
+        if self._root is None:
+            self._root = root
+
     def predict_files(self, paths: list[Path]) -> list[str]:
         return [self.predict_file(p) for p in paths]
 
@@ -267,37 +316,33 @@ def make_adapter(spec: str, corpus_dir: str | Path | None = None):
 def evaluate(adapter, corpus_dir: str | Path, classifier_id: str = "classifier") -> AccuracySeries:
     """Measure per-condition accuracy of an adapter over a materialized corpus.
 
-    Verifies every manifest checksum before any prediction. A ToyClassifier
-    adapter that has not been fitted is fitted on the clean group (condition 0)
-    using the manifest's true labels, and a PredictionsFileAdapter made without
-    a corpus_dir takes this corpus as the root its keys are relative to. The
-    adapter then gets one ``predict_files`` call with every image path, each
-    the manifest path under the resolved corpus root, by condition id and then
-    in manifest order. Any non-matching response, including an empty one,
-    counts as incorrect.
+    Verifies every manifest checksum before any prediction. An adapter with a
+    ``prepare(root, files)`` method gets the resolved corpus root and a stream
+    of ``(manifest entry, file bytes)`` pairs in manifest order, each file read
+    once and yielded only after its bytes match its checksum; whatever the
+    hook leaves unread is verified after it returns. An adapter without one
+    has the manifest verified from the paths alone. The adapter then gets one
+    ``predict_files`` call with every image path, each the manifest path under
+    the resolved corpus root, by condition id and then in manifest order. Any
+    non-matching response, including an empty one, counts as incorrect.
     """
     corpus_dir = Path(corpus_dir)
     entries = read_manifest(corpus_dir)
-    verify_manifest(corpus_dir, entries)
+    root = corpus_dir.resolve()
+    prepare = getattr(adapter, "prepare", None)
+    if prepare is None:
+        verify_manifest(corpus_dir, entries)
+    else:
+        files = verified_files(corpus_dir, entries)
+        prepare(root, files)
+        for _ in files:  # verify whatever the hook left unread
+            pass
 
     by_condition: dict[int, list[ManifestEntry]] = {}
     for e in entries:
         by_condition.setdefault(e.condition_id, []).append(e)
-
-    if isinstance(adapter, ToyClassifierAdapter) and not adapter.fitted:
-        clean = by_condition.get(0)
-        if not clean:
-            raise AdapterError("corpus has no clean group (condition 0) to fit on")
-        adapter.fit(
-            [read_netpbm(corpus_dir / e.output_path) for e in clean],
-            [e.true_label for e in clean],
-        )
-
     cond_ids = sorted(by_condition)
     ordered = [e for cond_id in cond_ids for e in by_condition[cond_id]]
-    root = corpus_dir.resolve()
-    if isinstance(adapter, PredictionsFileAdapter) and adapter._root is None:
-        adapter._root = root
     predicted = adapter.predict_files([root / e.output_path for e in ordered])
     correct = dict.fromkeys(cond_ids, 0)
     for e, label in zip(ordered, predicted):

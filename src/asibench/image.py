@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ParameterError
 
-__all__ = ["Image", "read_netpbm", "write_netpbm", "netpbm_bytes"]
+__all__ = ["Image", "decode_netpbm", "read_netpbm", "write_netpbm", "netpbm_bytes"]
 
 
 @dataclass(frozen=True)
@@ -81,13 +81,13 @@ def write_netpbm(img: Image, path: str | Path) -> None:
     Path(path).write_bytes(netpbm_bytes(img))
 
 
-def _read_token(stream: io.BufferedIOBase) -> bytes:
+def _read_token(stream: io.BufferedIOBase, name: str | Path) -> bytes:
     """Read one whitespace-delimited header token, skipping '#' comments."""
     tok = b""
     while True:
         ch = stream.read(1)
         if ch == b"":
-            raise ParameterError("truncated netpbm header")
+            raise ParameterError(f"{name}: truncated netpbm header")
         if ch == b"#":
             while ch not in (b"\n", b""):
                 ch = stream.read(1)
@@ -99,20 +99,42 @@ def _read_token(stream: io.BufferedIOBase) -> bytes:
         tok += ch
 
 
+def _read_int(stream: io.BufferedIOBase, name: str | Path, what: str) -> int:
+    tok = _read_token(stream, name)
+    try:
+        return int(tok)
+    except ValueError:
+        raise ParameterError(f"{name}: bad netpbm {what} {tok!r}") from None
+
+
+def decode_netpbm(data: bytes, name: str | Path = "netpbm data") -> np.ndarray:
+    """Decode binary PGM (P5) or PPM (P6) bytes into a (height, width, channels) uint8 view.
+
+    The view shares ``data``'s memory and is read-only. The header may hold
+    '#' comments; exactly one whitespace byte follows the maxval, and bytes
+    after the pixel data are ignored. Errors name ``name``.
+    """
+    stream = io.BytesIO(data)
+    magic = _read_token(stream, name)
+    if magic not in (b"P5", b"P6"):
+        raise ParameterError(f"{name}: unsupported netpbm magic {magic!r}")
+    channels = 1 if magic == b"P5" else 3
+    width = _read_int(stream, name, "width")
+    height = _read_int(stream, name, "height")
+    maxval = _read_int(stream, name, "maxval")
+    if maxval != 255:
+        raise ParameterError(f"{name}: only 8-bit netpbm supported, maxval={maxval}")
+    if width < 1 or height < 1:
+        raise ParameterError(f"{name}: image dimensions must be positive, got {height}x{width}")
+    count = width * height * channels
+    offset = stream.tell()
+    if len(data) - offset < count:
+        raise ParameterError(f"{name}: truncated pixel data")
+    pixels = np.frombuffer(data, np.uint8, count, offset).reshape(height, width, channels)
+    pixels.setflags(write=False)
+    return pixels
+
+
 def read_netpbm(path: str | Path) -> Image:
     """Read a binary PGM (P5) or PPM (P6) file into a normalized Image."""
-    with open(path, "rb") as fh:
-        magic = _read_token(fh)
-        if magic not in (b"P5", b"P6"):
-            raise ParameterError(f"{path}: unsupported netpbm magic {magic!r}")
-        channels = 1 if magic == b"P5" else 3
-        width = int(_read_token(fh))
-        height = int(_read_token(fh))
-        maxval = int(_read_token(fh))
-        if maxval != 255:
-            raise ParameterError(f"{path}: only 8-bit netpbm supported, maxval={maxval}")
-        raw = fh.read(width * height * channels)
-    if len(raw) != width * height * channels:
-        raise ParameterError(f"{path}: truncated pixel data")
-    arr = np.frombuffer(raw, dtype=np.uint8).reshape(height, width, channels)
-    return Image(arr.astype(np.float64) / 255.0)
+    return Image(decode_netpbm(Path(path).read_bytes(), path) / 255.0)

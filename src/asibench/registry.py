@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -30,6 +31,7 @@ __all__ = [
     "materialize",
     "read_manifest",
     "sha256_file",
+    "verified_files",
 ]
 
 DEFAULT_GROUP_SIZE = 500
@@ -347,12 +349,37 @@ def read_manifest(corpus_dir: str | Path) -> list[ManifestEntry]:
     return entries
 
 
+def _corpus_file(corpus_dir: Path, entry: ManifestEntry) -> Path:
+    path = corpus_dir / entry.output_path
+    if not path.is_file():
+        raise ManifestError(f"missing corpus file: {path}")
+    return path
+
+
+def _check(path: Path, entry: ManifestEntry, digest: str) -> None:
+    if digest != entry.checksum:
+        raise ManifestError(f"checksum mismatch: {path}")
+
+
 def verify_manifest(corpus_dir: str | Path, entries: list[ManifestEntry]) -> None:
     """Abort with ManifestError on the first missing or altered file."""
     corpus_dir = Path(corpus_dir)
     for e in entries:
-        path = corpus_dir / e.output_path
-        if not path.is_file():
-            raise ManifestError(f"missing corpus file: {path}")
-        if sha256_file(path) != e.checksum:
-            raise ManifestError(f"checksum mismatch: {path}")
+        path = _corpus_file(corpus_dir, e)
+        _check(path, e, sha256_file(path))
+
+
+def verified_files(
+    corpus_dir: str | Path, entries: list[ManifestEntry]
+) -> Iterator[tuple[ManifestEntry, bytes]]:
+    """Yield each entry with its file's bytes, read once and matched to its checksum.
+
+    Fails like ``verify_manifest``, on the first missing or altered file; the
+    bytes yielded are the bytes that were hashed.
+    """
+    corpus_dir = Path(corpus_dir)
+    for e in entries:
+        path = _corpus_file(corpus_dir, e)
+        data = path.read_bytes()
+        _check(path, e, hashlib.sha256(data).hexdigest())
+        yield e, data

@@ -4,11 +4,13 @@ import shlex
 import sys
 import textwrap
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from asibench import harness
 from asibench.cli import main
+from asibench.image import Image
 from asibench.registry import read_manifest
 from conftest import synthetic_corpus, write_clean_corpus
 
@@ -170,6 +172,60 @@ class TestEvaluateAndScore:
         assert isinstance(result.exception, SystemExit)
         assert "error: adapter process" in result.output
         assert "did not exit" in result.output
+
+    def test_toy_on_mixed_channel_counts_is_validation_error(self, runner, tmp_path):
+        corpus = synthetic_corpus(n_per_class=2, size=12)
+        corpus.append(("rgb_00.ppm", "mid", Image(np.full((12, 12, 3), 0.5))))
+        clean = write_clean_corpus(corpus, tmp_path / "clean")
+        reg = tmp_path / "reg.txt"
+        reg.write_text(TINY_REGISTRY)
+        out = tmp_path / "corpus"
+        assert runner.invoke(main, [
+            "perturb", "--corpus", str(clean), "--registry", str(reg), "--out", str(out),
+        ]).exit_code == 0
+        result = runner.invoke(main, [
+            "evaluate", "--corpus", str(out), "--adapter", "toy",
+            "--out", str(tmp_path / "acc.csv"),
+        ])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "rgb_00.ppm has 3 channels where the toy classifier has 1" in result.output
+        assert not (tmp_path / "acc.csv").exists()
+
+    @pytest.mark.parametrize("adapter", ["toy", "file", "subprocess"])
+    def test_corrupted_last_file_exits_1_before_any_prediction(
+        self, runner, materialized, tmp_path, adapter
+    ):
+        entries = read_manifest(materialized)
+        victim = materialized / entries[-1].output_path
+        data = bytearray(victim.read_bytes())
+        data[-1] ^= 0x01
+        victim.write_bytes(bytes(data))
+        received = tmp_path / "received.txt"
+        if adapter == "file":
+            pred = tmp_path / "pred.csv"
+            pred.write_text("path,label\n" + "".join(
+                f"{e.output_path},{e.true_label}\n" for e in entries
+            ))
+            adapter = f"file:{pred}"
+        elif adapter == "subprocess":
+            script = tmp_path / "child.py"
+            script.write_text(textwrap.dedent(f"""\
+                import sys
+                with open({str(received)!r}, "a") as log:
+                    for line in sys.stdin:
+                        log.write(line)
+                        print("x", flush=True)
+            """))
+            adapter = "subprocess:" + shlex.join([sys.executable, str(script)])
+        result = runner.invoke(main, [
+            "evaluate", "--corpus", str(materialized), "--adapter", adapter,
+            "--out", str(tmp_path / "acc.csv"),
+        ])
+        assert result.exit_code == 1
+        assert f"error: checksum mismatch: {victim}" in result.output
+        assert not (tmp_path / "acc.csv").exists()
+        assert not received.exists() or received.read_text() == ""
 
     def test_score_perfect_classifier(self, runner, tmp_path):
         table = tmp_path / "acc.csv"

@@ -3,7 +3,9 @@
 A kernel rewrite (a cached rotation plan, a worker pool) must not change a
 single output byte. These digests were recorded from the direct, uncached
 implementation; a change here is a change of the corpus every published
-score was measured on.
+score was measured on. The toy accuracy tables were recorded from the
+evaluate that decoded each image to float64 and took ``np.mean``/``np.std``
+of it; a faster feature path must give the same table, byte for byte.
 """
 
 import hashlib
@@ -11,6 +13,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from asibench.harness import ToyClassifierAdapter, evaluate, save_accuracy_table
 from asibench.image import Image
 from asibench.perturb import rotate
 from asibench.registry import default_registry, materialize
@@ -27,6 +30,11 @@ ROTATE_SHA256 = {
     ("rgb", -137.5): "b3596dd04e699ad135f138f54839667ec9de0332af21bd0aec1e65cf684e1f9f",
     ("rgb", 90.0): "df12c2afa4d4d46e00e6cb5505df33748b53d83bb7ee030ed41690744a50bdc1",
     ("rgb", 1e-3): "56cd3a8dd0e934c5444d6f984ee051cea29e138878b577cb3e617aff4f5d54c5",
+}
+
+TOY_TABLE_SHA256 = {
+    "gray224": "62b4ba151d641dd2133f2611f6e8b169ea602d99453b437eca6ed4eb70e8bd64",
+    "rgb32": "0e25a89578290ae8203383494f6ed884269aa5dfe6e7eda5350786939dbc3ec2",
 }
 
 IMAGES = {
@@ -51,3 +59,30 @@ def test_manifest_digest(tmp_path, jobs):
 def test_rotate_digest(name, degrees):
     out = rotate(IMAGES[name](), degrees)
     assert hashlib.sha256(out.pixels.tobytes()).hexdigest() == ROTATE_SHA256[name, degrees]
+
+
+def tinted_corpus(n_per_class: int, size: int, seed: int = 99):
+    """Three RGB classes that differ by a faint tint under strong per-pixel noise."""
+    rng = np.random.default_rng(seed)
+    corpus = []
+    for label, tint in (("red", (0.53, 0.5, 0.5)), ("green", (0.5, 0.53, 0.5)),
+                        ("blue", (0.5, 0.5, 0.53))):
+        for i in range(n_per_class):
+            pixels = np.clip(np.array(tint) + rng.normal(0.0, 0.15, size=(size, size, 3)), 0.0, 1.0)
+            corpus.append((f"{label}_{i:02d}.ppm", label, Image(pixels)))
+    return corpus
+
+
+TOY_CORPORA = {
+    "gray224": lambda: synthetic_corpus(n_per_class=2, size=224),
+    "rgb32": lambda: tinted_corpus(n_per_class=3, size=32),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TOY_CORPORA))
+def test_toy_accuracy_table_digest(tmp_path, name):
+    corpus = tmp_path / "corpus"
+    materialize(TOY_CORPORA[name](), default_registry(), 42, corpus)
+    table = tmp_path / "acc.csv"
+    save_accuracy_table([evaluate(ToyClassifierAdapter(), corpus, "toy")], table)
+    assert hashlib.sha256(table.read_bytes()).hexdigest() == TOY_TABLE_SHA256[name]

@@ -1,12 +1,18 @@
+import builtins
+import io
 import shlex
 import sys
 import textwrap
 import threading
+from collections import Counter
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from asibench import harness
-from asibench.errors import AdapterError, ParameterError
+from asibench.errors import AdapterError, ManifestError, ParameterError
+from asibench.image import Image, netpbm_bytes
 from asibench.harness import (
     WINDOW,
     AccuracySeries,
@@ -103,6 +109,99 @@ class TestEvaluate:
         labels = {str(corpus / e.output_path): "" for e in entries}
         series = evaluate(FixedAdapter(labels), corpus)
         assert all(acc == 0.0 for acc in series.accuracies())
+
+
+def corrupt_last_entry(corpus):
+    """Flip one pixel bit of the last file in the manifest."""
+    victim = corpus / read_manifest(corpus)[-1].output_path
+    data = bytearray(victim.read_bytes())
+    data[-1] ^= 0x01
+    victim.write_bytes(bytes(data))
+
+
+class TestToyClassifierAdapter:
+    @staticmethod
+    def reference(u8):
+        """The features as the float64 image gives them: u8 / 255.0, then mean and std."""
+        flat = (u8.astype(np.float64) / 255.0).reshape(-1, u8.shape[2])
+        return np.concatenate([flat.mean(axis=0), flat.std(axis=0)])
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_features_equal_the_float64_reference(self, channels):
+        rng = np.random.default_rng(channels)
+        adapter = ToyClassifierAdapter()
+        # small and large shapes in turn, so the reused buffer holds a bigger
+        # image's leftovers whenever a smaller one is computed in it
+        shapes = [(224, 224), (1, 1), (37, 52), (1, 9), (224, 224), (37, 52), (1, 1)]
+        for i, (h, w) in enumerate(shapes):
+            u8 = rng.integers(0, 256, size=(h, w, channels), dtype=np.uint8)
+            if i % 2:
+                u8 = np.clip(rng.normal(128, 20, size=u8.shape), 0, 255).astype(np.uint8)
+            data = netpbm_bytes(Image(u8 / 255.0))
+            feat = adapter._features(data, Path(f"img_{i}"))
+            assert np.array_equal(feat, self.reference(u8)), (h, w, channels)
+
+    def test_each_corpus_file_is_opened_once(self, corpus, monkeypatch):
+        opened = Counter()
+        real_open = io.open
+
+        def counting_open(file, *args, **kwargs):
+            if not isinstance(file, int):
+                opened[Path(file).resolve()] += 1
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        monkeypatch.setattr(io, "open", counting_open)
+        evaluate(ToyClassifierAdapter(), corpus)
+        files = {(corpus / e.output_path).resolve() for e in read_manifest(corpus)}
+        assert {f: opened[f] for f in files} == dict.fromkeys(files, 1)
+
+    def test_predict_file_reads_a_path_it_has_not_seen(self, corpus):
+        adapter = ToyClassifierAdapter()
+        evaluate(adapter, corpus)
+        entries = read_manifest(corpus)
+        prepared = [adapter.predict_file(corpus.resolve() / e.output_path) for e in entries]
+        from_disk = [adapter.predict_file(str(corpus / e.output_path)) for e in entries]
+        assert prepared == from_disk
+
+    def test_mixed_channel_counts_name_the_file(self, tmp_path, small_corpus):
+        rgb = Image(np.full((16, 16, 3), 0.5))
+        materialize(small_corpus[:3] + [("rgb.ppm", "mid", rgb)], tiny_registry(), 5, tmp_path)
+        with pytest.raises(AdapterError, match=r"cond_000/rgb\.ppm has 3 channels.* 1\b"):
+            evaluate(ToyClassifierAdapter(), tmp_path)
+
+
+class TestChecksumsBeforePredictions:
+    def test_toy(self, corpus):
+        corrupt_last_entry(corpus)
+        with pytest.raises(ManifestError, match="checksum mismatch"):
+            evaluate(ToyClassifierAdapter(), corpus)
+
+    def test_predictions_file(self, tmp_path, corpus):
+        pred = tmp_path / "pred.csv"
+        pred.write_text("path,label\n" + "".join(
+            f"{e.output_path},{e.true_label}\n" for e in read_manifest(corpus)
+        ))
+        corrupt_last_entry(corpus)
+        with pytest.raises(ManifestError, match="checksum mismatch"):
+            evaluate(PredictionsFileAdapter(pred), corpus)
+
+    def test_subprocess_child_gets_no_path(self, tmp_path, corpus):
+        received = tmp_path / "received.bin"
+        adapter = child_adapter(tmp_path, f"""\
+            import sys
+            with open({str(received)!r}, "ab") as log:
+                for line in sys.stdin.buffer:
+                    log.write(line)
+                    print("x", flush=True)
+        """)
+        corrupt_last_entry(corpus)
+        try:
+            with pytest.raises(ManifestError, match="checksum mismatch"):
+                evaluate(adapter, corpus)
+        finally:
+            adapter.close()
+        assert not received.exists() or received.read_bytes() == b""
 
 
 def child_adapter(tmp_path, source, *args):

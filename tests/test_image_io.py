@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from asibench.errors import ParameterError
-from asibench.image import Image, netpbm_bytes, read_netpbm, write_netpbm
+from asibench.image import Image, decode_netpbm, netpbm_bytes, read_netpbm, write_netpbm
 
 
 def test_image_validation():
@@ -63,4 +63,34 @@ def test_read_rejects_truncated(tmp_path):
     path = tmp_path / "t.pgm"
     path.write_bytes(b"P5\n4 4\n255\n" + bytes(3))
     with pytest.raises(ParameterError):
+        read_netpbm(path)
+
+
+def test_decode_is_a_read_only_view_of_the_bytes():
+    data = b"P6\n# made by hand\n2 1\n255\n" + bytes(range(6)) + b"trailing"
+    pixels = decode_netpbm(data)
+    assert pixels.dtype == np.uint8 and pixels.shape == (1, 2, 3)
+    assert pixels.tolist() == [[[0, 1, 2], [3, 4, 5]]]
+    assert not pixels.flags.writeable
+
+
+@pytest.mark.parametrize("data,message", [
+    (b"P5\n4 4", "truncated netpbm header"),
+    (b"P5\n4 4\n255\n" + bytes(15), "truncated pixel data"),
+    (b"P2\n1 1\n255\n0", "unsupported netpbm magic"),
+    (b"P5\n1 1\n65535\n\0\0", "only 8-bit"),
+    (b"P5\nx 1\n255\n\0", "bad netpbm width"),
+    (b"P5\n0 1\n255\n", "image dimensions must be positive"),
+])
+def test_decode_errors_name_the_file(data, message):
+    with pytest.raises(ParameterError, match=f"^img.pgm: {message}"):
+        decode_netpbm(data, "img.pgm")
+
+
+def test_read_is_decode_over_the_file_bytes(tmp_path):
+    path = tmp_path / "c.pgm"
+    path.write_bytes(b"P5 3 1 255\n" + bytes([0, 128, 255]) + b"\n")
+    assert np.array_equal(read_netpbm(path).pixels, decode_netpbm(path.read_bytes()) / 255.0)
+    path.write_bytes(b"P5 3 1 255\n" + bytes(2))
+    with pytest.raises(ParameterError, match=str(path)):
         read_netpbm(path)

@@ -1,5 +1,7 @@
+import itertools
 import multiprocessing
 import os
+import re
 import threading
 
 import numpy as np
@@ -22,6 +24,7 @@ from asibench.registry import (
     read_manifest,
     serialize_registry,
     sha256_file,
+    verified_files,
     verify_manifest,
 )
 from conftest import synthetic_corpus
@@ -225,6 +228,29 @@ class TestMaterialize:
         victim.write_bytes(victim.read_bytes()[:-1] + b"\x00")
         with pytest.raises(ManifestError, match="checksum"):
             verify_manifest(tmp_path, entries)
+
+    def test_verified_files_yields_the_hashed_bytes_in_order(self, tmp_path, small_corpus):
+        entries = materialize(small_corpus[:4], tiny_registry(), 1, tmp_path)
+        pairs = list(verified_files(tmp_path, entries))
+        assert [e for e, _ in pairs] == entries
+        assert all(data == (tmp_path / e.output_path).read_bytes() for e, data in pairs)
+
+    @pytest.mark.parametrize("damage,message", [
+        (lambda path: path.unlink(), "missing corpus file"),
+        (lambda path: path.write_bytes(path.read_bytes() + b"\0"), "checksum mismatch"),
+    ])
+    def test_verified_files_fails_like_verify_manifest(
+        self, tmp_path, small_corpus, damage, message
+    ):
+        entries = materialize(small_corpus[:4], tiny_registry(), 1, tmp_path)
+        victim = tmp_path / entries[5].output_path
+        damage(victim)
+        with pytest.raises(ManifestError, match=re.escape(f"{message}: {victim}") + "$"):
+            verify_manifest(tmp_path, entries)
+        stream = verified_files(tmp_path, entries)
+        assert [e for e, _ in itertools.islice(stream, 5)] == entries[:5]
+        with pytest.raises(ManifestError, match=re.escape(f"{message}: {victim}") + "$"):
+            next(stream)
 
 
 def test_condition_step_limit():
