@@ -17,7 +17,7 @@ from pathlib import Path
 import click
 
 from . import harness, metrics, registry, surface
-from .errors import BenchmarkError
+from .errors import BenchmarkError, ParameterError
 from .image import read_netpbm
 
 EXIT_VALIDATION = 1
@@ -45,24 +45,17 @@ def _guard(fn):
     return wrapper
 
 
-def _load_registry(path: str | None, group_size: int | None) -> registry.ConditionRegistry:
-    size = group_size or registry.DEFAULT_GROUP_SIZE
-    if path is None:
-        return registry.default_registry(group_size=size)
-    return registry.load_registry_file(path, group_size=size)
-
-
 def _read_clean_corpus(corpus_dir: Path, limit: int | None):
     """Read PGM/PPM images plus labels.csv (filename,label) from a directory."""
     labels_path = corpus_dir / "labels.csv"
     if not corpus_dir.is_dir():
-        _fail(EXIT_VALIDATION, f"clean corpus directory not found: {corpus_dir}")
+        raise ParameterError(f"clean corpus directory not found: {corpus_dir}")
     if not labels_path.is_file():
-        _fail(EXIT_VALIDATION, f"labels file not found: {labels_path}")
+        raise ParameterError(f"labels file not found: {labels_path}")
     with open(labels_path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != ["filename", "label"]:
-            _fail(EXIT_VALIDATION, f"{labels_path}: header must be 'filename,label'")
+            raise ParameterError(f"{labels_path}: header must be 'filename,label'")
         rows = list(reader)
     if limit is not None:
         rows = rows[:limit]
@@ -70,7 +63,7 @@ def _read_clean_corpus(corpus_dir: Path, limit: int | None):
     for row in rows:
         path = corpus_dir / row["filename"]
         if not path.is_file():
-            _fail(EXIT_VALIDATION, f"clean image not found: {path}")
+            raise ParameterError(f"clean image not found: {path}")
         clean.append((row["filename"], row["label"], read_netpbm(path)))
     return clean
 
@@ -93,14 +86,19 @@ def main():
               help="Registry document; defaults to the built-in 69-condition catalog.")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--group-size", type=int, default=None,
-              help="Use at most N clean images per group.")
+              help="Use the first N clean images of labels.csv in every group.")
 @click.option("--out", "out_dir", required=True, type=click.Path(path_type=Path))
 @click.option("--jobs", type=int, default=1, show_default=True,
               help="Upper bound on worker processes; output bytes do not depend on it.")
 @_guard
 def cmd_perturb(corpus_dir, registry_path, seed, group_size, out_dir, jobs):
     """Materialize one image group per registry condition."""
-    reg = _load_registry(str(registry_path) if registry_path else None, group_size)
+    if group_size is not None and group_size < 1:
+        raise ParameterError(f"group size must be >= 1, got {group_size}")
+    if registry_path is None:
+        reg = registry.default_registry()
+    else:
+        reg = registry.load_registry_file(registry_path)
     clean = _read_clean_corpus(corpus_dir, group_size)
     entries = registry.materialize(clean, reg, seed, out_dir, jobs=jobs)
     _write_run_record(out_dir, {
@@ -124,7 +122,7 @@ def cmd_perturb(corpus_dir, registry_path, seed, group_size, out_dir, jobs):
 @_guard
 def cmd_evaluate(corpus_dir, adapter_spec, classifier_id, out_path):
     """Run a classifier adapter over a corpus; write an accuracy table."""
-    adapter = harness.make_adapter(adapter_spec, corpus_dir=corpus_dir)
+    adapter = harness.make_adapter(adapter_spec)
     try:
         series = harness.evaluate(adapter, corpus_dir, classifier_id=classifier_id)
     finally:
@@ -133,16 +131,11 @@ def cmd_evaluate(corpus_dir, adapter_spec, classifier_id, out_path):
     click.echo(f"wrote accuracy table for {classifier_id} ({len(series.entries)} conditions)")
 
 
-def _score_rows(series_list):
-    rows = []
-    for series in sorted(series_list, key=lambda s: s.classifier_id):
-        s = metrics.score(series)
-        rows.append(s)
-    return rows
+SCORE_HEADER = "classifier,cv,mean,asi"
 
 
 def _write_score_table(rows, out):
-    out.write("classifier,cv,mean,asi\n")
+    out.write(SCORE_HEADER + "\n")
     for s in rows:
         out.write(
             f"{s.classifier_id},{s.cv_percent:.3f},{s.mean_accuracy_percent:.3f},{s.asi:.3f}\n"
@@ -158,7 +151,7 @@ def _write_score_table(rows, out):
 def cmd_score(table_path, out_path):
     """Score each classifier in an accuracy table (mean, CV, index)."""
     series_list = harness.load_accuracy_table_file(table_path)
-    rows = _score_rows(series_list)
+    rows = [metrics.score(s) for s in sorted(series_list, key=lambda s: s.classifier_id)]
     if out_path is None:
         _write_score_table(rows, sys.stdout)
     else:
@@ -171,14 +164,21 @@ def _read_score_table(path: Path) -> dict[str, metrics.BenchmarkScore]:
     scores = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames != ["classifier", "cv", "mean", "asi"]:
-            _fail(EXIT_VALIDATION, f"{path}: header must be 'classifier,cv,mean,asi'")
+        if reader.fieldnames != SCORE_HEADER.split(","):
+            raise ParameterError(f"{path}: header must be {SCORE_HEADER!r}")
         for row in reader:
-            scores[row["classifier"]] = metrics.BenchmarkScore(
-                classifier_id=row["classifier"],
-                mean_accuracy_percent=float(row["mean"]),
-                cv_percent=float(row["cv"]),
-                asi=float(row["asi"]),
+            cid, where = row["classifier"], f"{path}: line {reader.line_num}"
+            if cid in scores:
+                raise ParameterError(f"{where}: repeated classifier id {cid!r}")
+            try:
+                cv, mean, asi = float(row["cv"]), float(row["mean"]), float(row["asi"])
+            except (TypeError, ValueError):
+                raise ParameterError(f"{where}: cv, mean and asi must be numbers") from None
+            scores[cid] = metrics.BenchmarkScore(
+                classifier_id=cid,
+                mean_accuracy_percent=mean,
+                cv_percent=cv,
+                asi=asi,
                 n_conditions=0,
             )
     return scores
@@ -208,11 +208,11 @@ def _fixture_scores() -> dict[str, metrics.BenchmarkScore]:
 def cmd_compare(baseline, other, scores_path, reference):
     """Relative CV/mean deltas of OTHER versus BASELINE, plus the index verdict."""
     if reference == (scores_path is not None):
-        _fail(EXIT_VALIDATION, "give exactly one of --scores PATH or --reference")
+        raise ParameterError("give exactly one of --scores PATH or --reference")
     scores = _fixture_scores() if reference else _read_score_table(scores_path)
     for cid in (baseline, other):
         if cid not in scores:
-            _fail(EXIT_VALIDATION, f"unknown classifier id {cid!r}")
+            raise ParameterError(f"unknown classifier id {cid!r}")
     a, b = scores[baseline], scores[other]
     delta = metrics.compare(a, b)
     click.echo(f"cv delta:   {delta.cv_delta_percent:+.3f}%")
@@ -243,7 +243,7 @@ def cmd_surface(out_path, fmt, mean_range, cv_range, resolution, script_path):
     surface.emit_grid(grid, fmt, out_path)
     if script_path is not None:
         if fmt != "csv":
-            _fail(EXIT_VALIDATION, "--plot-script requires --format csv")
+            raise ParameterError("--plot-script requires --format csv")
         surface.write_plot_script(out_path, script_path)
     click.echo(f"wrote {resolution}x{resolution} grid to {out_path}")
 

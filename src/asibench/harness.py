@@ -302,14 +302,14 @@ class PredictionsFileAdapter:
         pass
 
 
-def make_adapter(spec: str, corpus_dir: str | Path | None = None):
+def make_adapter(spec: str):
     """Build an adapter from a CLI spec: toy | subprocess:CMD | file:PATH."""
     if spec == "toy":
         return ToyClassifierAdapter()
     if spec.startswith("subprocess:"):
         return SubprocessAdapter(spec.split(":", 1)[1])
     if spec.startswith("file:"):
-        return PredictionsFileAdapter(spec.split(":", 1)[1], corpus_dir=corpus_dir)
+        return PredictionsFileAdapter(spec.split(":", 1)[1])
     raise ParameterError(f"unknown adapter spec {spec!r}")
 
 

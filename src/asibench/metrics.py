@@ -89,9 +89,9 @@ def asi(mean: float, cv: float) -> float:
     return (mean - cv) / (mean + cv)
 
 
-def score(series: AccuracySeries, sample: bool = False) -> BenchmarkScore:
+def score(series: AccuracySeries) -> BenchmarkScore:
     mean = mean_accuracy(series)
-    cv = coefficient_of_variation(series, sample=sample)
+    cv = coefficient_of_variation(series)
     return BenchmarkScore(
         classifier_id=series.classifier_id,
         mean_accuracy_percent=mean,

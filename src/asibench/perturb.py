@@ -34,7 +34,6 @@ class Kind(str, enum.Enum):
     SALT_PEPPER = "SP"
     GAUSSIAN = "GA"
     ROTATION = "ROT"
-    IDENTITY = "ID"
 
 
 @dataclass(frozen=True)
@@ -43,8 +42,7 @@ class PerturbationStep:
 
     Intensity meaning by kind: SALT_PEPPER = fraction of pixels hit (in [0,1]),
     GAUSSIAN = noise standard deviation on the [0,1] intensity scale (>= 0),
-    ROTATION = signed degrees in (-360, 360), positive clockwise. IDENTITY
-    ignores intensity.
+    ROTATION = signed degrees in (-360, 360), positive clockwise.
     """
 
     kind: Kind
@@ -60,10 +58,6 @@ class PerturbationStep:
             raise ParameterError(f"gaussian sigma must be >= 0, got {v}")
         if k is Kind.ROTATION and not -360.0 < v < 360.0:
             raise ParameterError(f"rotation degrees must be in (-360, 360), got {v}")
-
-    @property
-    def is_identity(self) -> bool:
-        return self.kind is Kind.IDENTITY or self.intensity == 0.0
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -182,9 +176,7 @@ def apply_step(img: Image, step: PerturbationStep, seed: int) -> Image:
         return apply_salt_pepper(img, step.intensity, seed)
     if step.kind is Kind.GAUSSIAN:
         return apply_gaussian_noise(img, step.intensity, seed)
-    if step.kind is Kind.ROTATION:
-        return rotate(img, step.intensity)
-    return Image(img.pixels.copy())
+    return rotate(img, step.intensity)
 
 
 def apply_sequence(img: Image, steps, seed: int) -> Image:

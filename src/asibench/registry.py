@@ -34,10 +34,6 @@ __all__ = [
     "verified_files",
 ]
 
-DEFAULT_GROUP_SIZE = 500
-
-_KIND_NAMES = {"SP": Kind.SALT_PEPPER, "GA": Kind.GAUSSIAN, "ROT": Kind.ROTATION}
-
 
 def _fmt_intensity(v: float) -> str:
     return format(v, "g")
@@ -72,13 +68,10 @@ class Condition:
 @dataclass(frozen=True)
 class ConditionRegistry:
     conditions: tuple[Condition, ...]
-    group_size: int = DEFAULT_GROUP_SIZE
 
     def __post_init__(self):
         conds = tuple(self.conditions)
         object.__setattr__(self, "conditions", conds)
-        if self.group_size < 1:
-            raise RegistryError(f"group_size must be positive, got {self.group_size}")
         seen = set()
         for c in conds:
             if c.id in seen:
@@ -90,31 +83,27 @@ class ConditionRegistry:
                 "registry must have exactly one clean condition, with id 0 at index 0"
             )
 
-    def by_id(self, cond_id: int) -> Condition:
-        for c in self.conditions:
-            if c.id == cond_id:
-                return c
-        raise RegistryError(f"no condition with id {cond_id}")
-
 
 def _parse_step(text: str, where: str) -> PerturbationStep:
     parts = text.split()
     if len(parts) != 2:
         raise RegistryError(f"{where}: step must be 'KIND INTENSITY', got {text!r}")
     kind_name, raw = parts
-    if kind_name not in _KIND_NAMES:
-        raise RegistryError(f"{where}: unknown perturbation kind {kind_name!r}")
+    try:
+        kind = Kind(kind_name)
+    except ValueError:
+        raise RegistryError(f"{where}: unknown perturbation kind {kind_name!r}") from None
     try:
         intensity = float(raw)
     except ValueError:
         raise RegistryError(f"{where}: bad intensity {raw!r}") from None
     try:
-        return PerturbationStep(_KIND_NAMES[kind_name], intensity)
+        return PerturbationStep(kind, intensity)
     except ParameterError as exc:
         raise RegistryError(f"{where}: {exc}") from None
 
 
-def load_registry(text: str, group_size: int = DEFAULT_GROUP_SIZE) -> ConditionRegistry:
+def load_registry(text: str) -> ConditionRegistry:
     """Parse a registry document.
 
     One condition per line: ``id | label | step1 | step2`` with ``-`` for an
@@ -138,11 +127,11 @@ def load_registry(text: str, group_size: int = DEFAULT_GROUP_SIZE) -> ConditionR
             _parse_step(f, where) for f in fields[2:] if f != "-"
         )
         conditions.append(Condition(cond_id, fields[1], steps))
-    return ConditionRegistry(tuple(conditions), group_size=group_size)
+    return ConditionRegistry(tuple(conditions))
 
 
-def load_registry_file(path: str | Path, group_size: int = DEFAULT_GROUP_SIZE) -> ConditionRegistry:
-    return load_registry(Path(path).read_text(encoding="utf-8"), group_size=group_size)
+def load_registry_file(path: str | Path) -> ConditionRegistry:
+    return load_registry(Path(path).read_text(encoding="utf-8"))
 
 
 def serialize_registry(reg: ConditionRegistry) -> str:
@@ -165,7 +154,7 @@ ROT_GRID = (-60.0, -30.0, 30.0, 60.0)  # 0 degrees excluded: identity
 _ROT_PAD_GA = (0.1, 0.2)  # padding family grid, see default_registry
 
 
-def default_registry(group_size: int = DEFAULT_GROUP_SIZE) -> ConditionRegistry:
+def default_registry() -> ConditionRegistry:
     """The built-in 69-condition registry.
 
     Condition 0 is clean. Singles cover SP/GA at {0.1, 0.15, 0.2} and
@@ -193,7 +182,7 @@ def default_registry(group_size: int = DEFAULT_GROUP_SIZE) -> ConditionRegistry:
 
     conditions = tuple(Condition.from_steps(i, steps) for i, steps in enumerate(recipes))
     assert len(conditions) == 69
-    return ConditionRegistry(conditions, group_size=group_size)
+    return ConditionRegistry(conditions)
 
 
 @dataclass(frozen=True)
@@ -336,16 +325,17 @@ def read_manifest(corpus_dir: str | Path) -> list[ManifestEntry]:
         if reader.fieldnames != MANIFEST_FIELDS:
             raise ManifestError(f"{path}: unexpected manifest header {reader.fieldnames}")
         for row in reader:
-            entries.append(
-                ManifestEntry(
-                    condition_id=int(row["condition_id"]),
-                    condition_label=row["condition_label"],
-                    source_filename=row["source_filename"],
-                    output_path=row["output_path"],
-                    true_label=row["true_label"],
-                    checksum=row["checksum"],
+            if len(row) != len(MANIFEST_FIELDS) or None in row.values():
+                raise ManifestError(
+                    f"{path}: line {reader.line_num}: expected {len(MANIFEST_FIELDS)} fields"
                 )
-            )
+            try:
+                row["condition_id"] = int(row["condition_id"])
+            except ValueError:
+                raise ManifestError(
+                    f"{path}: line {reader.line_num}: bad condition_id {row['condition_id']!r}"
+                ) from None
+            entries.append(ManifestEntry(**row))  # the keys are MANIFEST_FIELDS
     return entries
 
 

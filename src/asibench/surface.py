@@ -18,7 +18,6 @@ from .metrics import asi
 __all__ = [
     "SurfaceGrid",
     "surface_grid",
-    "evaluate_points",
     "emit_grid",
     "parse_grid_csv",
     "parse_grid_json",
@@ -75,11 +74,6 @@ def surface_grid(
             else:
                 values[i, j] = asi(mean, cv)
     return SurfaceGrid(mean_axis, cv_axis, values, mask)
-
-
-def evaluate_points(points) -> list[float]:
-    """Exact off-grid evaluation of (mean, cv) query points."""
-    return [asi(mean, cv) for mean, cv in points]
 
 
 def emit_grid(grid: SurfaceGrid, fmt: str, destination: str | Path) -> None:

@@ -168,7 +168,7 @@ def _heavy(cond) -> bool:
 
 def test_criterion_7_end_to_end_pipeline(tmp_path):
     corpus = synthetic_corpus(n_per_class=10, size=16)
-    registry = default_registry(group_size=30)
+    registry = default_registry()
     run_a, run_b = tmp_path / "a", tmp_path / "b"
     entries_a = materialize(corpus, registry, 42, run_a)
     entries_b = materialize(corpus, registry, 42, run_b)

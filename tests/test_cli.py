@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import shlex
@@ -96,6 +97,31 @@ class TestPerturb:
         assert "Traceback" not in result.output
         assert isinstance(result.exception, SystemExit)
 
+    @pytest.mark.parametrize("size", ["0", "-1"])
+    def test_group_size_below_one_is_validation_error(self, runner, clean_dir, tmp_path, size):
+        out = tmp_path / "o"
+        result = runner.invoke(main, [
+            "perturb", "--corpus", str(clean_dir), "--out", str(out), "--group-size", size,
+        ])
+        assert result.exit_code == 1
+        assert f"error: group size must be >= 1, got {size}" in result.output
+        assert not out.exists()
+
+    def test_group_size_takes_the_first_rows_of_labels(self, runner, clean_dir, tmp_path):
+        reg = tmp_path / "reg.txt"
+        reg.write_text(TINY_REGISTRY)
+        out = tmp_path / "corpus"
+        result = runner.invoke(main, [
+            "perturb", "--corpus", str(clean_dir), "--registry", str(reg),
+            "--out", str(out), "--group-size", "2",
+        ])
+        assert result.exit_code == 0, result.output
+        first_two = [line.split(",")[0] for line in
+                     (clean_dir / "labels.csv").read_text().splitlines()[1:3]]
+        for cond_id in range(3):
+            assert sorted(p.name for p in (out / f"cond_{cond_id:03d}").iterdir()) == first_two
+        assert json.loads((out / "run.json").read_text())["group_size"] == 2
+
     def test_bad_registry_is_validation_error(self, runner, clean_dir, tmp_path):
         reg = tmp_path / "reg.txt"
         reg.write_text("0 | clean | - | -\n1 | bad | SP 9 | -\n")
@@ -192,6 +218,27 @@ class TestEvaluateAndScore:
         assert "rgb_00.ppm has 3 channels where the toy classifier has 1" in result.output
         assert not (tmp_path / "acc.csv").exists()
 
+    @staticmethod
+    def _adapter_spec(kind, entries, tmp_path, received):
+        """An adapter of each kind that would answer every entry; a child logs what it gets."""
+        if kind == "file":
+            pred = tmp_path / "pred.csv"
+            pred.write_text("path,label\n" + "".join(
+                f"{e.output_path},{e.true_label}\n" for e in entries
+            ))
+            return f"file:{pred}"
+        if kind == "subprocess":
+            script = tmp_path / "child.py"
+            script.write_text(textwrap.dedent(f"""\
+                import sys
+                with open({str(received)!r}, "a") as log:
+                    for line in sys.stdin:
+                        log.write(line)
+                        print("x", flush=True)
+            """))
+            return "subprocess:" + shlex.join([sys.executable, str(script)])
+        return kind
+
     @pytest.mark.parametrize("adapter", ["toy", "file", "subprocess"])
     def test_corrupted_last_file_exits_1_before_any_prediction(
         self, runner, materialized, tmp_path, adapter
@@ -202,28 +249,33 @@ class TestEvaluateAndScore:
         data[-1] ^= 0x01
         victim.write_bytes(bytes(data))
         received = tmp_path / "received.txt"
-        if adapter == "file":
-            pred = tmp_path / "pred.csv"
-            pred.write_text("path,label\n" + "".join(
-                f"{e.output_path},{e.true_label}\n" for e in entries
-            ))
-            adapter = f"file:{pred}"
-        elif adapter == "subprocess":
-            script = tmp_path / "child.py"
-            script.write_text(textwrap.dedent(f"""\
-                import sys
-                with open({str(received)!r}, "a") as log:
-                    for line in sys.stdin:
-                        log.write(line)
-                        print("x", flush=True)
-            """))
-            adapter = "subprocess:" + shlex.join([sys.executable, str(script)])
         result = runner.invoke(main, [
-            "evaluate", "--corpus", str(materialized), "--adapter", adapter,
+            "evaluate", "--corpus", str(materialized),
+            "--adapter", self._adapter_spec(adapter, entries, tmp_path, received),
             "--out", str(tmp_path / "acc.csv"),
         ])
         assert result.exit_code == 1
         assert f"error: checksum mismatch: {victim}" in result.output
+        assert not (tmp_path / "acc.csv").exists()
+        assert not received.exists() or received.read_text() == ""
+
+    @pytest.mark.parametrize("adapter", ["toy", "file", "subprocess"])
+    def test_truncated_manifest_row_exits_1(self, runner, materialized, tmp_path, adapter):
+        entries = read_manifest(materialized)
+        manifest = materialized / "manifest.csv"
+        lines = manifest.read_text().splitlines()
+        lines[-1] = ",".join(lines[-1].split(",")[:3])
+        manifest.write_text("\n".join(lines) + "\n")
+        received = tmp_path / "received.txt"
+        result = runner.invoke(main, [
+            "evaluate", "--corpus", str(materialized),
+            "--adapter", self._adapter_spec(adapter, entries, tmp_path, received),
+            "--out", str(tmp_path / "acc.csv"),
+        ])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert f"error: {manifest}: line {len(lines)}: expected 6 fields" in result.output
+        assert "Traceback" not in result.output
         assert not (tmp_path / "acc.csv").exists()
         assert not received.exists() or received.read_text() == ""
 
@@ -296,6 +348,25 @@ class TestCompare:
         assert result.exit_code == 0
         assert "+17.44" in result.output  # re-ingested rounding: 3 d.p. inputs
         assert "R4 preferred" in result.output
+
+
+class TestScoreTableErrors:
+    @pytest.mark.parametrize("command", [["compare", "a", "b", "--scores"], ["report", "--scores"]])
+    @pytest.mark.parametrize("body,message", [
+        ("a,2.000,90.000,0.957\nb,2.000,90.000,0.957\na,1.000,95.000,0.979\n",
+         "line 4: repeated classifier id 'a'"),
+        ("a,2.000,90.000,0.957\nb,two,90.000,0.957\n",
+         "line 3: cv, mean and asi must be numbers"),
+        ("a,2.000,90.000,0.957\nb,2.000\n",
+         "line 3: cv, mean and asi must be numbers"),
+    ])
+    def test_bad_row_is_validation_error(self, runner, tmp_path, command, body, message):
+        scores = tmp_path / "s.csv"
+        scores.write_text("classifier,cv,mean,asi\n" + body)
+        result = runner.invoke(main, command + [str(scores)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert f"error: {scores}: {message}" in result.output
 
 
 class TestSurfaceCommand:

@@ -97,6 +97,10 @@ class TestRegistryDocument:
         reg = load_registry(text)
         assert len(reg.conditions) == 69
         assert reg.conditions[0].steps == ()
+        lines = text.splitlines(keepends=True)
+        assert sum(line.startswith("#") for line in lines) == 2
+        body = "".join(line for line in lines if not line.startswith("#"))
+        assert body == serialize_registry(default_registry())
 
     def test_duplicate_id_rejected(self):
         doc = "0 | clean | - | -\n5 | a | SP 0.1 | -\n5 | b | GA 0.1 | -\n"
@@ -126,8 +130,7 @@ def tiny_registry():
     return load_registry(
         "0 | clean | - | -\n"
         "1 | SP0.2 | SP 0.2 | -\n"
-        "2 | SP0.1_ROT30 | SP 0.1 | ROT 30\n",
-        group_size=10,
+        "2 | SP0.1_ROT30 | SP 0.1 | ROT 30\n"
     )
 
 
@@ -251,6 +254,19 @@ class TestMaterialize:
         assert [e for e, _ in itertools.islice(stream, 5)] == entries[:5]
         with pytest.raises(ManifestError, match=re.escape(f"{message}: {victim}") + "$"):
             next(stream)
+
+    @pytest.mark.parametrize("row,message", [
+        ("2,SP0.2,a.pgm", "expected 6 fields"),
+        ("2,SP0.2,a.pgm,cond_002/a.pgm,dark,00,extra", "expected 6 fields"),
+        ("two,SP0.2,a.pgm,cond_002/a.pgm,dark,00", "bad condition_id 'two'"),
+    ])
+    def test_malformed_manifest_row_names_the_line(self, tmp_path, small_corpus, row, message):
+        materialize(small_corpus[:2], tiny_registry(), 1, tmp_path)
+        manifest = tmp_path / registry.MANIFEST_NAME
+        lines = manifest.read_text().splitlines()
+        manifest.write_text("\n".join(lines[:-1] + [row]) + "\n")
+        with pytest.raises(ManifestError, match=re.escape(f"{manifest}: line 7: {message}")):
+            read_manifest(tmp_path)
 
 
 def test_condition_step_limit():
