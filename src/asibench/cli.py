@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -56,9 +57,13 @@ def _read_clean_corpus(corpus_dir: Path, limit: int | None):
         reader = csv.DictReader(fh)
         if reader.fieldnames != ["filename", "label"]:
             raise ParameterError(f"{labels_path}: header must be 'filename,label'")
-        rows = list(reader)
-    if limit is not None:
-        rows = rows[:limit]
+        rows = []
+        for row in reader:
+            if limit is not None and len(rows) == limit:
+                break
+            if not row["label"]:
+                raise ParameterError(f"{labels_path}: line {reader.line_num}: missing label")
+            rows.append(row)
     clean = []
     for row in rows:
         path = corpus_dir / row["filename"]
@@ -174,6 +179,8 @@ def _read_score_table(path: Path) -> dict[str, metrics.BenchmarkScore]:
                 cv, mean, asi = float(row["cv"]), float(row["mean"]), float(row["asi"])
             except (TypeError, ValueError):
                 raise ParameterError(f"{where}: cv, mean and asi must be numbers") from None
+            if not all(map(math.isfinite, (cv, mean, asi))):
+                raise ParameterError(f"{where}: cv, mean and asi must be finite")
             scores[cid] = metrics.BenchmarkScore(
                 classifier_id=cid,
                 mean_accuracy_percent=mean,
@@ -239,11 +246,11 @@ def cmd_compare(baseline, other, scores_path, reference):
 @_guard
 def cmd_surface(out_path, fmt, mean_range, cv_range, resolution, script_path):
     """Sample the index over the (mean, CV) plane and emit grid data."""
+    if script_path is not None and fmt != "csv":
+        raise ParameterError("--plot-script requires --format csv")
     grid = surface.surface_grid(tuple(mean_range), tuple(cv_range), resolution)
     surface.emit_grid(grid, fmt, out_path)
     if script_path is not None:
-        if fmt != "csv":
-            raise ParameterError("--plot-script requires --format csv")
         surface.write_plot_script(out_path, script_path)
     click.echo(f"wrote {resolution}x{resolution} grid to {out_path}")
 

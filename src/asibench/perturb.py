@@ -3,7 +3,8 @@
 All randomness flows through numpy's PCG64 seeded from an explicit 64-bit
 seed; identical (image, parameters, seed) triples give bit-identical output.
 Sub-seeds for composed steps come from ``derive_seed(seed, step_index)``, so
-reordering a sequence reassigns which random stream drives which kernel.
+reordering a sequence reassigns which random stream drives which kernel;
+rotation draws no randomness.
 """
 
 from __future__ import annotations
@@ -179,11 +180,20 @@ def apply_step(img: Image, step: PerturbationStep, seed: int) -> Image:
     return rotate(img, step.intensity)
 
 
-def apply_sequence(img: Image, steps, seed: int) -> Image:
-    """Apply steps strictly in order; step i draws from derive_seed(seed, i)."""
+def apply_sequence(img: Image, steps, seed: int, *, start: int = 0) -> Image:
+    """Apply steps strictly in order; step i draws from derive_seed(seed, i).
+
+    The steps hold positions ``start, start + 1, ...`` of their sequence, so a
+    caller that applied the first ``start`` steps itself finishes the sequence
+    with the streams it would have drawn whole. A rotation draws nothing, and
+    no seed is derived for it.
+    """
     out = img
-    for i, step in enumerate(steps):
-        out = apply_step(out, step, derive_seed(seed, i))
+    for i, step in enumerate(steps, start):
+        if step.kind is Kind.ROTATION:
+            out = rotate(out, step.intensity)
+        else:
+            out = apply_step(out, step, derive_seed(seed, i))
     if out is img:
         out = Image(img.pixels.copy())
     return out

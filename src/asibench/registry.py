@@ -16,6 +16,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
+from . import perturb
 from .errors import ManifestError, ParameterError, RegistryError
 from .image import Image, netpbm_bytes
 from .perturb import Kind, PerturbationStep, apply_sequence, derive_seed
@@ -210,29 +211,134 @@ def sha256_file(path: str | Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+WRITE_BEHIND_FILES = 32  # encoded files that may wait for the writer thread
+_CREATE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_BINARY", 0)
+
+
+def _write_file(path: str, data: bytes) -> None:
+    # not open(): a buffered file adds an fstat and an isatty call, and after
+    # every system call this thread waits for the interpreter lock again
+    fd = os.open(path, _CREATE_FLAGS, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+    finally:
+        os.close(fd)
+
+
+class _WriteBehind:
+    """Write files from one background thread while the caller computes the next.
+
+    The thread only opens, writes and closes files; encoding, hashing and every
+    other call stay on the caller's thread. The first error the thread meets
+    is raised in the caller, by the next ``write`` or on leaving the block, and
+    the thread has ended when the block is left, however it is left.
+    """
+
+    def __init__(self):
+        # imported here so that importing the CLI does not pay for them
+        import queue
+        import threading
+
+        self._files = queue.Queue(WRITE_BEHIND_FILES)
+        self._error: Exception | None = None
+        self._thread = threading.Thread(target=self._drain, name="asibench-writer", daemon=True)
+
+    def _drain(self) -> None:
+        # after an error, keep taking files (unwritten) so that the caller never blocks
+        while (item := self._files.get()) is not None:
+            if self._error is None:
+                try:
+                    _write_file(*item)
+                except Exception as exc:  # raised again in the caller
+                    self._error = exc
+
+    def write(self, path: Path, data: bytes) -> None:
+        if self._error is not None:
+            raise self._error
+        self._files.put((os.fspath(path), data))
+
+    def __enter__(self) -> "_WriteBehind":
+        self._thread.start()
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self._files.put(None)
+        self._thread.join()
+        if exc_type is None and self._error is not None:
+            raise self._error
+
+
+def _head_rotation(cond: Condition) -> PerturbationStep | None:
+    """The rotation ``cond`` begins with, if any: it draws no randomness."""
+    if cond.steps and cond.steps[0].kind is Kind.ROTATION:
+        return cond.steps[0]
+    return None
+
+
+def _units(conditions: tuple[Condition, ...]) -> list[tuple[Condition, ...]]:
+    """Split the conditions into units of work, in the order of each unit's first condition.
+
+    Every condition whose first step is the same rotation joins one unit, which
+    rotates each clean image once for all of them; any other condition is a unit
+    of its own.
+    """
+    units: list[list[Condition]] = []
+    families: dict[PerturbationStep, list[Condition]] = {}
+    for cond in conditions:
+        head = _head_rotation(cond)
+        if head in families:
+            families[head].append(cond)
+            continue
+        unit = [cond]
+        units.append(unit)
+        if head is not None:
+            families[head] = unit
+    return [tuple(unit) for unit in units]
+
+
 def _write_group(
-    clean: list[tuple[str, str, Image]], cond: Condition, seed: int, out_dir: Path
+    clean: list[tuple[str, str, Image]],
+    unit: tuple[Condition, ...],
+    seed: int,
+    out_dir: Path,
 ) -> list[ManifestEntry]:
-    """Write one condition's image group; return its manifest rows."""
-    group_dir = out_dir / f"cond_{cond.id:03d}"
-    group_dir.mkdir(exist_ok=True)
+    """Write the image groups of one unit of work (see ``_units``); return their manifest rows.
+
+    Each clean image is rotated once when the unit shares a first rotation;
+    each condition then finishes its later steps with the sub-seed
+    derive_seed(seed, condition_id, image_index), as if it ran alone.
+    """
+    head = _head_rotation(unit[0])
+    skip = 0 if head is None else 1
+    groups = [(cond, out_dir / f"cond_{cond.id:03d}") for cond in unit]
+    for _, group_dir in groups:
+        group_dir.mkdir(exist_ok=True)
     entries = []
-    for idx, (name, true_label, img) in enumerate(clean):
-        sub_seed = derive_seed(seed, cond.id, idx)
-        result = apply_sequence(img, cond.steps, sub_seed) if cond.steps else img
-        data = netpbm_bytes(result)
-        out_path = group_dir / name
-        out_path.write_bytes(data)
-        entries.append(
-            ManifestEntry(
-                condition_id=cond.id,
-                condition_label=cond.label,
-                source_filename=name,
-                output_path=str(out_path.relative_to(out_dir)),
-                true_label=true_label,
-                checksum=hashlib.sha256(data).hexdigest(),
-            )
-        )
+    with _WriteBehind() as writer:
+        for idx, (name, true_label, img) in enumerate(clean):
+            base = img if head is None else perturb.rotate(img, head.intensity)
+            for cond, group_dir in groups:
+                rest = cond.steps[skip:]
+                if rest:
+                    sub_seed = derive_seed(seed, cond.id, idx)
+                    result = apply_sequence(base, rest, sub_seed, start=skip)
+                else:
+                    result = base
+                data = netpbm_bytes(result)
+                out_path = group_dir / name
+                writer.write(out_path, data)
+                entries.append(
+                    ManifestEntry(
+                        condition_id=cond.id,
+                        condition_label=cond.label,
+                        source_filename=name,
+                        output_path=str(out_path.relative_to(out_dir)),
+                        true_label=true_label,
+                        checksum=hashlib.sha256(data).hexdigest(),
+                    )
+                )
     return entries
 
 
@@ -244,12 +350,12 @@ def _init_worker(clean, seed, out_dir) -> None:
     _worker_job = (clean, seed, out_dir)
 
 
-def _worker_write_group(cond: Condition) -> list[ManifestEntry]:
+def _worker_write_group(unit: tuple[Condition, ...]) -> list[ManifestEntry]:
     clean, seed, out_dir = _worker_job
-    return _write_group(clean, cond, seed, out_dir)
+    return _write_group(clean, unit, seed, out_dir)
 
 
-def _write_groups_in_pool(clean, conditions, seed, out_dir, workers):
+def _write_groups_in_pool(clean, units, seed, out_dir, workers):
     # imported here so that importing the CLI does not pay for the pool machinery
     import multiprocessing
     import threading
@@ -268,7 +374,7 @@ def _write_groups_in_pool(clean, conditions, seed, out_dir, workers):
         initargs=(clean, seed, out_dir),
     )
     try:
-        return list(pool.map(_worker_write_group, conditions))
+        return list(pool.map(_worker_write_group, units))
     except BrokenProcessPool as exc:
         raise ChildProcessError(f"a perturb worker process died: {exc}") from None
     finally:
@@ -291,8 +397,10 @@ def materialize(
     image_index). Output bytes depend only on (clean, registry, seed).
 
     ``jobs`` caps the worker processes that write groups in parallel (at most
-    one per condition and per CPU); 1 writes every group in this process.
-    The manifest is in registry order whatever the scheduling.
+    one per unit of work and per CPU); 1 writes every group in this process.
+    A unit of work is one condition, or all the conditions that begin with the
+    same rotation. Each unit writes its files from a background thread. The
+    manifest is in registry order whatever the scheduling.
     """
     if not clean:
         raise ParameterError("clean corpus is empty")
@@ -300,13 +408,16 @@ def materialize(
         raise ParameterError(f"jobs must be >= 1, got {jobs}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    conditions = registry.conditions
-    workers = min(jobs, len(conditions), os.cpu_count() or 1)
+    units = _units(registry.conditions)
+    workers = min(jobs, len(units), os.cpu_count() or 1)
     if workers == 1:
-        groups = [_write_group(clean, cond, seed, out_dir) for cond in conditions]
+        groups = [_write_group(clean, unit, seed, out_dir) for unit in units]
     else:
-        groups = _write_groups_in_pool(clean, conditions, seed, out_dir, workers)
-    entries = [e for group in groups for e in group]
+        groups = _write_groups_in_pool(clean, units, seed, out_dir, workers)
+    position = {cond.id: i for i, cond in enumerate(registry.conditions)}
+    entries = sorted(
+        (e for group in groups for e in group), key=lambda e: position[e.condition_id]
+    )
     with open(out_dir / MANIFEST_NAME, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=MANIFEST_FIELDS)
         writer.writeheader()

@@ -97,6 +97,37 @@ class TestPerturb:
         assert "Traceback" not in result.output
         assert isinstance(result.exception, SystemExit)
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_image_write_failure_is_io_error(self, runner, clean_dir, tmp_path, jobs,
+                                             monkeypatch):
+        # the file is written from the writer thread, not from the calling one
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        out = tmp_path / "corpus"
+        blocker = out / "cond_050" / "mid_01.pgm"
+        blocker.mkdir(parents=True)
+        result = runner.invoke(main, [
+            "perturb", "--corpus", str(clean_dir), "--out", str(out), "--jobs", jobs,
+        ])
+        assert result.exit_code == 2
+        assert f"error: [Errno 21] Is a directory: '{blocker}'" in result.output
+        assert "Traceback" not in result.output
+        assert isinstance(result.exception, SystemExit)
+
+    @pytest.mark.parametrize("row,line", [("mid_00.pgm", 4), ("mid_00.pgm,", 4)])
+    def test_row_without_label_is_validation_error(self, runner, clean_dir, tmp_path, row,
+                                                   line):
+        labels = clean_dir / "labels.csv"
+        rows = labels.read_text().splitlines()
+        rows[line - 1] = row
+        labels.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "o"
+        result = runner.invoke(main, [
+            "perturb", "--corpus", str(clean_dir), "--out", str(out),
+        ])
+        assert result.exit_code == 1
+        assert f"error: {labels}: line {line}: missing label" in result.output
+        assert not out.exists()
+
     @pytest.mark.parametrize("size", ["0", "-1"])
     def test_group_size_below_one_is_validation_error(self, runner, clean_dir, tmp_path, size):
         out = tmp_path / "o"
@@ -359,6 +390,9 @@ class TestScoreTableErrors:
          "line 3: cv, mean and asi must be numbers"),
         ("a,2.000,90.000,0.957\nb,2.000\n",
          "line 3: cv, mean and asi must be numbers"),
+        ("a,nan,90.000,0.957\n", "line 2: cv, mean and asi must be finite"),
+        ("a,2.000,90.000,0.957\nb,2.000,inf,0.957\n", "line 3: cv, mean and asi must be finite"),
+        ("a,2.000,90.000,-inf\n", "line 2: cv, mean and asi must be finite"),
     ])
     def test_bad_row_is_validation_error(self, runner, tmp_path, command, body, message):
         scores = tmp_path / "s.csv"
@@ -393,6 +427,16 @@ class TestSurfaceCommand:
             "--plot-script", str(script),
         ]).exit_code == 0
         assert script.is_file()
+
+
+    def test_plot_script_with_json_writes_nothing(self, runner, tmp_path):
+        out, script = tmp_path / "grid.json", tmp_path / "plot.py"
+        result = runner.invoke(main, [
+            "surface", "--out", str(out), "--format", "json", "--plot-script", str(script),
+        ])
+        assert result.exit_code == 1
+        assert "error: --plot-script requires --format csv" in result.output
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestReport:

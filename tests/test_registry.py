@@ -1,7 +1,9 @@
+import collections
 import itertools
 import multiprocessing
 import os
 import re
+import sys
 import threading
 
 import numpy as np
@@ -9,8 +11,8 @@ import pytest
 
 from asibench.errors import ManifestError, ParameterError, RegistryError
 from asibench.image import Image, read_netpbm, write_netpbm, netpbm_bytes
-from asibench import registry
-from asibench.perturb import Kind
+from asibench import perturb, registry
+from asibench.perturb import Kind, apply_sequence, derive_seed
 from asibench.registry import (
     Condition,
     ConditionRegistry,
@@ -267,6 +269,119 @@ class TestMaterialize:
         manifest.write_text("\n".join(lines[:-1] + [row]) + "\n")
         with pytest.raises(ManifestError, match=re.escape(f"{manifest}: line 7: {message}")):
             read_manifest(tmp_path)
+
+
+# rotation-first conditions interleaved with others, ids out of order
+INTERLEAVED = (
+    "0 | clean | - | -\n"
+    "4 | ROT30 | ROT 30 | -\n"
+    "1 | SP0.1 | SP 0.1 | -\n"
+    "9 | ROT30_SP0.1 | ROT 30 | SP 0.1\n"
+    "2 | ROT-30_GA0.1 | ROT -30 | GA 0.1\n"
+    "7 | ROT30_GA0.1 | ROT 30 | GA 0.1\n"
+    "3 | SP0.1_ROT30 | SP 0.1 | ROT 30\n"
+)
+
+
+def _thread_count_kept(call):
+    """Run call(), which must raise; check it leaves no thread behind; return the exception."""
+    before = threading.active_count()
+    with pytest.raises(BaseException) as info:
+        call()
+    assert threading.active_count() == before
+    return info.value
+
+
+class TestUnitsOfWork:
+    def test_default_registry_has_49_units(self):
+        units = registry._units(default_registry().conditions)
+        assert len(units) == 49
+        families = [u for u in units if len(u) > 1]
+        assert [len(u) for u in families] == [6] * 4
+        for unit in families:
+            assert len({c.steps[0] for c in unit}) == 1
+            assert unit[0].steps[0].kind is Kind.ROTATION
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_every_file_is_its_direct_computation(self, tmp_path, small_corpus, monkeypatch,
+                                                  jobs):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        reg = load_registry(INTERLEAVED)
+        clean = small_corpus[:5]  # 35 files: more than the writer's queue holds
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch between the caller and the writer often
+        try:
+            entries = materialize(clean, reg, 31, tmp_path, jobs=jobs)
+        finally:
+            sys.setswitchinterval(interval)
+        assert [e.condition_id for e in entries] == [
+            c.id for c in reg.conditions for _ in clean
+        ]
+        assert [e.source_filename for e in entries] == [name for name, _, _ in clean] * 7
+        assert read_manifest(tmp_path) == entries
+        for e in entries:
+            cond = next(c for c in reg.conditions if c.id == e.condition_id)
+            idx = [name for name, _, _ in clean].index(e.source_filename)
+            expected = netpbm_bytes(
+                apply_sequence(clean[idx][2], cond.steps, derive_seed(31, cond.id, idx))
+            )
+            assert (tmp_path / e.output_path).read_bytes() == expected, e
+
+    def test_each_clean_image_is_rotated_once_per_angle(self, tmp_path, small_corpus,
+                                                        monkeypatch):
+        calls = collections.Counter()
+        real_rotate = perturb.rotate
+
+        def counting_rotate(img, degrees):
+            calls[img.pixels.tobytes(), degrees] += 1
+            return real_rotate(img, degrees)
+
+        monkeypatch.setattr(perturb, "rotate", counting_rotate)
+        clean = small_corpus[:4]
+        materialize(clean, load_registry(INTERLEAVED), 31, tmp_path)
+        # ROT 30 and ROT -30 of each clean image, and SP 0.1 | ROT 30's own rotation
+        assert sum(calls.values()) == 3 * len(clean)
+        assert set(calls.values()) == {1}
+        for _, _, img in clean:
+            assert calls[img.pixels.tobytes(), 30.0] == 1
+            assert calls[img.pixels.tobytes(), -30.0] == 1
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_write_error_reaches_the_caller(self, tmp_path, small_corpus, monkeypatch, jobs):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        clean = small_corpus[:4]
+        blocker = tmp_path / "cond_009" / clean[2][0]
+        blocker.mkdir(parents=True)
+        exc = _thread_count_kept(
+            lambda: materialize(clean, load_registry(INTERLEAVED), 31, tmp_path, jobs=jobs)
+        )
+        assert isinstance(exc, IsADirectoryError)
+        assert exc.filename == str(blocker)
+        assert not (tmp_path / registry.MANIFEST_NAME).exists()
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_kernel_error_propagates_unchanged(self, tmp_path, small_corpus, monkeypatch, jobs):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        if jobs == 2 and "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("the patch reaches the workers only through fork")
+        fault = ArithmeticError("kernel fault on the third call")
+        real_sp = perturb.apply_salt_pepper
+        sp_calls = itertools.count(1)
+
+        def failing_sp(img, density, seed):
+            if next(sp_calls) == 3:
+                raise fault
+            return real_sp(img, density, seed)
+
+        monkeypatch.setattr(perturb, "apply_salt_pepper", failing_sp)
+        exc = _thread_count_kept(
+            lambda: materialize(small_corpus[:4], load_registry(INTERLEAVED), 31, tmp_path,
+                                jobs=jobs)
+        )
+        if jobs == 1:
+            assert exc is fault
+        else:  # a copy sent back from the worker
+            assert type(exc) is ArithmeticError and exc.args == fault.args
 
 
 def test_condition_step_limit():
