@@ -148,8 +148,6 @@ class ToyClassifierAdapter:
         pass
 
 
-# Paths a subprocess adapter may have been sent but not yet answered.
-WINDOW = 64
 # Seconds a subprocess adapter has to exit once its input is closed.
 CLOSE_WAIT_S = 10.0
 
@@ -159,16 +157,14 @@ class SubprocessAdapter:
 
     One long-lived process per adapter, started on first use and never
     restarted; it answers one line per path, in request order, flushing each
-    line. ``predict_files`` keeps up to ``WINDOW`` paths in flight: a writer
-    thread sends the next path whenever a slot of the window is free, and each
-    ``predict_file`` call reads one answer and frees a slot.
+    line. ``predict_files`` hands every path to a writer thread in one write,
+    which the pipe paces, and each ``predict_file`` call reads one answer.
     """
 
     def __init__(self, command: str):
         self.command = command
         self._proc = None
-        self._slots = None  # the window of the predict_files call under way
-        self._send_error = None  # why the writer thread stopped early
+        self._sending = False  # a predict_files call is under way
 
     def _ensure(self):
         if self._proc is None:
@@ -187,56 +183,43 @@ class SubprocessAdapter:
         return f"adapter process {self.command!r} exited with status {self._proc.returncode}"
 
     def predict_file(self, path: Path) -> str:
-        if self._slots is None:
+        if not self._sending:
             return self.predict_files([path])[0]
         line = self._proc.stdout.readline()
         if line == "":
-            error = self._send_error
-            if error is not None and not isinstance(error, OSError):
-                reason = f"sending a path failed: {error!r}"
-            elif self._proc.poll() is not None:
-                reason = self._exited()
-            else:
-                reason = "it closed its output"
-            raise AdapterError(f"adapter process gave no response for {path}: {reason}") from error
-        self._slots.release()
+            reason = self._exited() if self._proc.poll() is not None else "it closed its output"
+            raise AdapterError(f"adapter process gave no response for {path}: {reason}")
         return line.rstrip("\n")
 
     def predict_files(self, paths: list[Path]) -> list[str]:
-        """One label per path, in order, with up to ``WINDOW`` paths in flight."""
+        """One label per path, in order; the paths are written without waiting for answers."""
         proc = self._ensure()
-        slots = threading.Semaphore(WINDOW)
-        done = threading.Event()
+        lines = [os.path.abspath(p) + "\n" for p in paths]
+        for path, line in zip(paths, lines):
+            try:
+                line.encode(proc.stdin.encoding)
+            except UnicodeEncodeError as exc:
+                raise AdapterError(f"sending a path failed: {path}: {exc}") from None
         writer = threading.Thread(
-            target=self._send, args=(proc.stdin, paths, slots, done), daemon=True
+            target=self._send, args=(proc.stdin, "".join(lines)), daemon=True
         )
-        self._slots, self._send_error = slots, None
+        self._sending = True
         writer.start()
         try:
             return [self.predict_file(p) for p in paths]
         finally:
-            self._slots = None
-            done.set()
-            slots.release(WINDOW)
+            self._sending = False
             writer.join(CLOSE_WAIT_S)
             if writer.is_alive():  # blocked on a process that stopped reading
                 proc.kill()
                 writer.join()
 
-    def _send(self, stdin, paths, slots, done) -> None:
+    @staticmethod
+    def _send(stdin, text: str) -> None:
         try:
-            for path in paths:
-                slots.acquire()
-                if done.is_set():
-                    return
-                stdin.write(os.path.abspath(path) + "\n")
-        except Exception as exc:  # reported by predict_file, in the calling thread
-            self._send_error = exc
-            # the process sees its input end, so predict_file does not wait forever
-            try:
-                stdin.close()
-            except OSError:
-                pass
+            stdin.write(text)
+        except OSError:
+            pass  # the process stopped reading: predict_file reports why
 
     def close(self) -> None:
         proc = self._proc
@@ -262,7 +245,7 @@ class PredictionsFileAdapter:
     """Serves labels from a CSV of precomputed predictions.
 
     Schema: header ``path,label``; ``path`` is the manifest's output_path
-    (relative to the corpus root).
+    (relative to the corpus root), once per file.
     """
 
     def __init__(self, table_path: str | Path, corpus_dir: str | Path | None = None):
@@ -276,6 +259,11 @@ class PredictionsFileAdapter:
                     f"{table_path}: predictions file must have header 'path,label'"
                 )
             for row in reader:
+                where = f"{table_path}: line {reader.line_num}"
+                if None in row or None in row.values():
+                    raise ParameterError(f"{where}: expected 2 fields")
+                if row["path"] in self._labels:
+                    raise ParameterError(f"{where}: repeated path {row['path']!r}")
                 self._labels[row["path"]] = row["label"]
 
     def predict_file(self, path: Path) -> str:

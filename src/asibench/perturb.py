@@ -37,6 +37,18 @@ class Kind(str, enum.Enum):
     ROTATION = "ROT"
 
 
+def _check(kind: Kind, v: float) -> None:
+    """The one definition of each kind's valid intensities, for steps and kernels alike."""
+    if not math.isfinite(v):
+        raise ParameterError(f"{kind.value} intensity must be finite")
+    if kind is Kind.SALT_PEPPER and not 0.0 <= v <= 1.0:
+        raise ParameterError(f"salt-pepper density must be in [0, 1], got {v}")
+    if kind is Kind.GAUSSIAN and v < 0.0:
+        raise ParameterError(f"gaussian sigma must be >= 0, got {v}")
+    if kind is Kind.ROTATION and not -360.0 < v < 360.0:
+        raise ParameterError(f"rotation degrees must be in (-360, 360), got {v}")
+
+
 @dataclass(frozen=True)
 class PerturbationStep:
     """One corruption: a kind plus its intensity.
@@ -50,15 +62,7 @@ class PerturbationStep:
     intensity: float = 0.0
 
     def __post_init__(self):
-        k, v = self.kind, self.intensity
-        if not math.isfinite(v):
-            raise ParameterError(f"{k.value} intensity must be finite")
-        if k is Kind.SALT_PEPPER and not 0.0 <= v <= 1.0:
-            raise ParameterError(f"salt-pepper density must be in [0, 1], got {v}")
-        if k is Kind.GAUSSIAN and v < 0.0:
-            raise ParameterError(f"gaussian sigma must be >= 0, got {v}")
-        if k is Kind.ROTATION and not -360.0 < v < 360.0:
-            raise ParameterError(f"rotation degrees must be in (-360, 360), got {v}")
+        _check(self.kind, self.intensity)
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -81,8 +85,7 @@ def apply_salt_pepper(img: Image, density: float, seed: int) -> Image:
     Positions are drawn without replacement; a fair coin per hit pixel picks
     salt (1.0) or pepper (0.0), applied to every channel of that pixel.
     """
-    if not 0.0 <= density <= 1.0:
-        raise ParameterError(f"salt-pepper density must be in [0, 1], got {density}")
+    _check(Kind.SALT_PEPPER, density)
     n_hit = round(density * img.width * img.height)
     if n_hit == 0:
         return Image(img.pixels.copy())
@@ -97,8 +100,7 @@ def apply_salt_pepper(img: Image, density: float, seed: int) -> Image:
 
 def apply_gaussian_noise(img: Image, sigma: float, seed: int) -> Image:
     """Add i.i.d. zero-mean normal noise of the given sigma, then clamp to [0,1]."""
-    if sigma < 0.0:
-        raise ParameterError(f"gaussian sigma must be >= 0, got {sigma}")
+    _check(Kind.GAUSSIAN, sigma)
     if sigma == 0.0:
         return Image(img.pixels.copy())
     noise = _rng(seed).normal(0.0, sigma, size=img.pixels.shape)
@@ -154,8 +156,7 @@ def rotate(img: Image, degrees: float) -> Image:
     Output keeps the input dimensions; bilinear resampling; source positions
     outside the image fill with 0.0. 0 degrees is the exact identity.
     """
-    if not -360.0 < degrees < 360.0:
-        raise ParameterError(f"rotation degrees must be in (-360, 360), got {degrees}")
+    _check(Kind.ROTATION, degrees)
     if degrees == 0.0:
         return Image(img.pixels.copy())
     h, w, c = img.pixels.shape

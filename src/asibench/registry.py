@@ -394,7 +394,8 @@ def materialize(
     ``clean`` is a list of (filename, true_label, image). Group 0 is a
     byte-identical re-encoding of the clean images; every other group applies
     the condition's step sequence with sub-seed derive_seed(seed, condition_id,
-    image_index). Output bytes depend only on (clean, registry, seed).
+    image_index). Output bytes depend only on (clean, registry, seed). A
+    filename that repeats or is not a plain file name fails before any write.
 
     ``jobs`` caps the worker processes that write groups in parallel (at most
     one per unit of work and per CPU); 1 writes every group in this process.
@@ -406,6 +407,13 @@ def materialize(
         raise ParameterError("clean corpus is empty")
     if jobs < 1:
         raise ParameterError(f"jobs must be >= 1, got {jobs}")
+    seen = set()
+    for name, _, _ in clean:
+        if name in ("", ".", "..") or os.path.basename(name) != name:
+            raise ParameterError(f"clean image name {name!r} is not a plain file name")
+        if name in seen:
+            raise ParameterError(f"clean image name {name!r} is repeated")
+        seen.add(name)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     units = _units(registry.conditions)

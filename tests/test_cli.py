@@ -162,6 +162,37 @@ class TestPerturb:
         ])
         assert result.exit_code == 1
 
+    def test_absolute_name_overwrites_nothing_and_creates_nothing(
+        self, runner, clean_dir, tmp_path
+    ):
+        victim = tmp_path / "victim.pgm"
+        victim.write_bytes((clean_dir / "bright_00.pgm").read_bytes())
+        before = victim.read_bytes()
+        labels = clean_dir / "labels.csv"
+        labels.write_text(labels.read_text() + f"{victim},bright\n")
+        out = tmp_path / "o"
+        result = runner.invoke(main, ["perturb", "--corpus", str(clean_dir), "--out", str(out)])
+        assert result.exit_code == 1
+        assert f"error: clean image name {str(victim)!r} is not a plain file name" in result.output
+        assert victim.read_bytes() == before
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name,reason", [
+        ("../bright_00.pgm", "is not a plain file name"),
+        ("bright_00.pgm", "is repeated"),
+    ])
+    def test_name_outside_the_group_or_repeated_is_validation_error(
+        self, runner, clean_dir, tmp_path, name, reason
+    ):
+        (tmp_path / "bright_00.pgm").write_bytes((clean_dir / "bright_00.pgm").read_bytes())
+        labels = clean_dir / "labels.csv"
+        labels.write_text(labels.read_text() + f"{name},bright\n")
+        out = tmp_path / "o"
+        result = runner.invoke(main, ["perturb", "--corpus", str(clean_dir), "--out", str(out)])
+        assert result.exit_code == 1
+        assert f"error: clean image name {name!r} {reason}" in result.output
+        assert not out.exists()
+
 
 @pytest.fixture()
 def materialized(runner, clean_dir, tmp_path):
@@ -309,6 +340,26 @@ class TestEvaluateAndScore:
         assert "Traceback" not in result.output
         assert not (tmp_path / "acc.csv").exists()
         assert not received.exists() or received.read_text() == ""
+
+    @pytest.mark.parametrize("message", ["repeated path", "expected 2 fields"])
+    def test_bad_predictions_file_row_exits_1(self, runner, materialized, tmp_path, message):
+        entries = read_manifest(materialized)
+        lines = ["path,label"] + [f"{e.output_path},{e.true_label}" for e in entries]
+        if message == "repeated path":  # the last path again, with another label
+            lines.append(f"{entries[-1].output_path},other")
+            line = len(lines)
+        else:  # the first path without a label
+            lines[1] = entries[0].output_path
+            line = 2
+        pred = tmp_path / "pred.csv"
+        pred.write_text("\n".join(lines) + "\n")
+        result = runner.invoke(main, [
+            "evaluate", "--corpus", str(materialized), "--adapter", f"file:{pred}",
+            "--out", str(tmp_path / "acc.csv"),
+        ])
+        assert result.exit_code == 1
+        assert f"error: {pred}: line {line}: {message}" in result.output
+        assert not (tmp_path / "acc.csv").exists()
 
     def test_score_perfect_classifier(self, runner, tmp_path):
         table = tmp_path / "acc.csv"

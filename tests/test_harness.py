@@ -14,7 +14,6 @@ from asibench import harness
 from asibench.errors import AdapterError, ManifestError, ParameterError
 from asibench.image import Image, netpbm_bytes
 from asibench.harness import (
-    WINDOW,
     AccuracySeries,
     PredictionsFileAdapter,
     SubprocessAdapter,
@@ -321,8 +320,8 @@ class TestSubprocessAdapter:
 
     def test_long_paths_beyond_the_window_do_not_deadlock(self, tmp_path):
         adapter = child_adapter(tmp_path, ECHO)
-        # a window of these paths is several times what a pipe buffers
-        paths = [f"/{'d' * 4000}/img_{i:04d}.pgm" for i in range(3 * WINDOW)]
+        # these paths are many times what a pipe buffers
+        paths = [f"/{'d' * 4000}/img_{i:04d}.pgm" for i in range(192)]
         assert predict_within(adapter, paths) == paths
 
     def test_a_path_that_cannot_be_sent_is_an_adapter_error(self, tmp_path):
@@ -332,6 +331,34 @@ class TestSubprocessAdapter:
         error = predict_within(adapter, paths)
         assert isinstance(error, AdapterError)
         assert "/img_\udcff.pgm" in str(error) and "sending a path failed" in str(error)
+
+    def test_a_child_that_batches_any_number_of_paths_gets_every_answer(self, tmp_path):
+        adapter = child_adapter(tmp_path, """\
+            import sys
+            batch = []
+            for line in sys.stdin:
+                batch.append(line)
+                if len(batch) == 200:
+                    sys.stdout.writelines(batch)
+                    sys.stdout.flush()
+                    batch = []
+        """)
+        paths = [f"/img_{i:04d}.pgm" for i in range(400)]
+        assert predict_within(adapter, paths, seconds=10) == paths
+
+    def test_a_path_that_cannot_be_sent_is_refused_before_any_path_is_sent(self, tmp_path):
+        received = tmp_path / "received.bin"
+        adapter = child_adapter(tmp_path, f"""\
+            import sys
+            with open({str(received)!r}, "wb") as log:
+                for line in sys.stdin.buffer:
+                    log.write(line)
+                    print("x", flush=True)
+        """)
+        paths = ["/img_0.pgm", "/img_\udcff.pgm", "/img_2.pgm"]
+        error = predict_within(adapter, paths)
+        assert isinstance(error, AdapterError) and "sending a path failed" in str(error)
+        assert received.read_bytes() == b""
 
     def test_every_answer_goes_through_predict_file(self, tmp_path, corpus, monkeypatch):
         # the benchmark's tracer counts and times predict_file calls by name

@@ -87,6 +87,11 @@ class TestGaussianNoise:
         with pytest.raises(ParameterError):
             apply_gaussian_noise(Image.constant(4, 4, 0.5), -0.1, 0)
 
+    @pytest.mark.parametrize("sigma", [float("inf"), float("nan")])
+    def test_non_finite_sigma_rejected(self, sigma):
+        with pytest.raises(ParameterError, match="GA intensity must be finite"):
+            apply_gaussian_noise(Image.constant(4, 4, 0.5), sigma, 0)
+
 
 class TestRotate:
     def test_zero_degrees_identity(self):
