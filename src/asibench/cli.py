@@ -88,7 +88,7 @@ def main():
 @click.option("--corpus", "corpus_dir", required=True, type=click.Path(path_type=Path),
               help="Clean corpus directory (PGM/PPM images + labels.csv).")
 @click.option("--registry", "registry_path", type=click.Path(path_type=Path), default=None,
-              help="Registry document; defaults to the built-in 69-condition catalog.")
+              help="Registry document; defaults to the shipped 69-condition catalog.")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--group-size", type=int, default=None,
               help="Use the first N clean images of labels.csv in every group.")
@@ -165,41 +165,39 @@ def cmd_score(table_path, out_path):
         click.echo(f"wrote {len(rows)} score rows to {out_path}")
 
 
+def _score(cid: str, cv: float, mean: float, asi: float) -> metrics.BenchmarkScore:
+    """One score-table row; ``asi`` is the table's own 3-dp cell, which the verdict orders by."""
+    return metrics.BenchmarkScore(
+        classifier_id=cid, mean_accuracy_percent=mean, cv_percent=cv, asi=asi, n_conditions=0
+    )
+
+
 def _read_score_table(path: Path) -> dict[str, metrics.BenchmarkScore]:
     scores = {}
+    fields = SCORE_HEADER.split(",")
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames != SCORE_HEADER.split(","):
+        if reader.fieldnames != fields:
             raise ParameterError(f"{path}: header must be {SCORE_HEADER!r}")
         for row in reader:
             cid, where = row["classifier"], f"{path}: line {reader.line_num}"
+            if None in row or None in row.values():
+                raise ParameterError(f"{where}: expected {len(fields)} fields")
             if cid in scores:
                 raise ParameterError(f"{where}: repeated classifier id {cid!r}")
             try:
                 cv, mean, asi = float(row["cv"]), float(row["mean"]), float(row["asi"])
-            except (TypeError, ValueError):
+            except ValueError:
                 raise ParameterError(f"{where}: cv, mean and asi must be numbers") from None
             if not all(map(math.isfinite, (cv, mean, asi))):
                 raise ParameterError(f"{where}: cv, mean and asi must be finite")
-            scores[cid] = metrics.BenchmarkScore(
-                classifier_id=cid,
-                mean_accuracy_percent=mean,
-                cv_percent=cv,
-                asi=asi,
-                n_conditions=0,
-            )
+            scores[cid] = _score(cid, cv, mean, asi)
     return scores
 
 
 def _fixture_scores() -> dict[str, metrics.BenchmarkScore]:
     return {
-        f"R{row.row_id}": metrics.BenchmarkScore(
-            classifier_id=f"R{row.row_id}",
-            mean_accuracy_percent=row.mean,
-            cv_percent=row.cv,
-            asi=metrics.asi(row.mean, row.cv),
-            n_conditions=0,
-        )
+        f"R{row.row_id}": _score(f"R{row.row_id}", row.cv, row.mean, row.asi)
         for row in metrics.load_reference_scores()
     }
 

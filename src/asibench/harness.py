@@ -158,7 +158,8 @@ class SubprocessAdapter:
     One long-lived process per adapter, started on first use and never
     restarted; it answers one line per path, in request order, flushing each
     line. ``predict_files`` hands every path to a writer thread in one write,
-    which the pipe paces, and each ``predict_file`` call reads one answer.
+    which the pipe paces, and each ``predict_file`` call reads one answer. When
+    an answer cannot be read, the process is killed at once.
     """
 
     def __init__(self, command: str):
@@ -185,7 +186,12 @@ class SubprocessAdapter:
     def predict_file(self, path: Path) -> str:
         if not self._sending:
             return self.predict_files([path])[0]
-        line = self._proc.stdout.readline()
+        try:
+            line = self._proc.stdout.readline()
+        except UnicodeDecodeError as exc:
+            raise AdapterError(
+                f"adapter process gave an undecodable answer for {path}: {exc}"
+            ) from None
         if line == "":
             reason = self._exited() if self._proc.poll() is not None else "it closed its output"
             raise AdapterError(f"adapter process gave no response for {path}: {reason}")
@@ -207,6 +213,9 @@ class SubprocessAdapter:
         writer.start()
         try:
             return [self.predict_file(p) for p in paths]
+        except BaseException:
+            proc.kill()  # unblocks the writer; the process is never used again
+            raise
         finally:
             self._sending = False
             writer.join(CLOSE_WAIT_S)
@@ -356,22 +365,21 @@ def load_accuracy_table(text: str) -> list[AccuracySeries]:
             f"got {reader.fieldnames}"
         )
     per_classifier: dict[str, dict[int, float]] = {}
-    for lineno, row in enumerate(reader, start=2):
+    for row in reader:
+        where = f"accuracy table line {reader.line_num}"
+        if None in row or None in row.values():
+            raise ParameterError(f"{where}: expected {len(ACCURACY_TABLE_HEADER)} fields")
         clf = row["classifier"]
         try:
             cond = int(row["condition"])
             acc = float(row["accuracy"])
-        except (TypeError, ValueError):
-            raise ParameterError(f"accuracy table row {lineno}: malformed record {row}") from None
+        except ValueError:
+            raise ParameterError(f"{where}: malformed record {row}") from None
         if not 0.0 <= acc <= 100.0:
-            raise ParameterError(
-                f"accuracy table row {lineno}: accuracy {acc} outside [0, 100]"
-            )
+            raise ParameterError(f"{where}: accuracy {acc} outside [0, 100]")
         series = per_classifier.setdefault(clf, {})
         if cond in series:
-            raise ParameterError(
-                f"accuracy table row {lineno}: duplicate ({clf}, {cond}) pair"
-            )
+            raise ParameterError(f"{where}: duplicate ({clf}, {cond}) pair")
         series[cond] = acc
     return [
         AccuracySeries(clf, tuple(sorted(conds.items())))
@@ -380,7 +388,10 @@ def load_accuracy_table(text: str) -> list[AccuracySeries]:
 
 
 def load_accuracy_table_file(path: str | Path) -> list[AccuracySeries]:
-    return load_accuracy_table(Path(path).read_text(encoding="utf-8"))
+    try:
+        return load_accuracy_table(Path(path).read_text(encoding="utf-8"))
+    except ParameterError as exc:
+        raise ParameterError(f"{path}: {exc}") from None
 
 
 def save_accuracy_table(series_list: list[AccuracySeries], path: str | Path) -> None:

@@ -1,10 +1,11 @@
 """Benchmark condition catalog and corpus materialization.
 
 A registry is data: an ordered list of conditions, each a recipe of 0-2
-perturbation steps. The shipped default has 69 conditions (one clean, ten
-single-factor, the rest ordered two-factor pairs). ``materialize`` turns a
-clean labeled corpus into one image group per condition, with a manifest of
-checksums so runs can be verified byte-for-byte.
+perturbation steps. The default is the shipped document
+``data/default_registry.txt``: 69 conditions (one clean, ten single-factor,
+the rest ordered two-factor pairs). ``materialize`` turns a clean labeled
+corpus into one image group per condition, with a manifest of checksums so
+runs can be verified byte-for-byte.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import hashlib
 import os
 from collections.abc import Iterator
 from dataclasses import dataclass
+from importlib import resources
 from pathlib import Path
 
 from . import perturb
@@ -27,21 +29,12 @@ __all__ = [
     "ManifestEntry",
     "load_registry",
     "load_registry_file",
-    "serialize_registry",
     "default_registry",
     "materialize",
     "read_manifest",
     "sha256_file",
     "verified_files",
 ]
-
-
-def _fmt_intensity(v: float) -> str:
-    return format(v, "g")
-
-
-def _step_label(step: PerturbationStep) -> str:
-    return f"{step.kind.value}{_fmt_intensity(step.intensity)}"
 
 
 @dataclass(frozen=True)
@@ -58,12 +51,6 @@ class Condition:
             raise RegistryError(
                 f"condition {self.id} ({self.label!r}): at most 2 steps, got {len(self.steps)}"
             )
-
-    @classmethod
-    def from_steps(cls, cond_id: int, steps) -> "Condition":
-        steps = tuple(steps)
-        label = "_".join(_step_label(s) for s in steps) if steps else "clean"
-        return cls(cond_id, label, steps)
 
 
 @dataclass(frozen=True)
@@ -135,55 +122,10 @@ def load_registry_file(path: str | Path) -> ConditionRegistry:
     return load_registry(Path(path).read_text(encoding="utf-8"))
 
 
-def serialize_registry(reg: ConditionRegistry) -> str:
-    lines = []
-    for c in reg.conditions:
-        cells = [str(c.id), c.label]
-        for i in range(2):
-            if i < len(c.steps):
-                s = c.steps[i]
-                cells.append(f"{s.kind.value} {_fmt_intensity(s.intensity)}")
-            else:
-                cells.append("-")
-        lines.append(" | ".join(cells))
-    return "\n".join(lines) + "\n"
-
-
-SP_GRID = (0.1, 0.15, 0.2)
-GA_GRID = (0.1, 0.15, 0.2)
-ROT_GRID = (-60.0, -30.0, 30.0, 60.0)  # 0 degrees excluded: identity
-_ROT_PAD_GA = (0.1, 0.2)  # padding family grid, see default_registry
-
-
 def default_registry() -> ConditionRegistry:
-    """The built-in 69-condition registry.
-
-    Condition 0 is clean. Singles cover SP/GA at {0.1, 0.15, 0.2} and
-    rotation at {-60, -30, 30, 60} degrees (0-degree entries are identities
-    and are dropped rather than duplicated). Two-factor pairs enumerate the
-    four ordered families SP-GA, GA-SP, SP-ROT and ROT-SP over those grids.
-    That yields 53 conditions; the catalog is padded to exactly 69 with a
-    documented GA-ROT / ROT-GA family over GA {0.1, 0.2} x the rotation grid.
-    """
-    sp = lambda v: PerturbationStep(Kind.SALT_PEPPER, v)
-    ga = lambda v: PerturbationStep(Kind.GAUSSIAN, v)
-    rot = lambda v: PerturbationStep(Kind.ROTATION, v)
-
-    recipes: list[tuple[PerturbationStep, ...]] = [()]
-    recipes += [(sp(d),) for d in SP_GRID]
-    recipes += [(ga(s),) for s in GA_GRID]
-    recipes += [(rot(d),) for d in ROT_GRID]
-    recipes += [(sp(d), ga(s)) for d in SP_GRID for s in GA_GRID]
-    recipes += [(ga(s), sp(d)) for s in GA_GRID for d in SP_GRID]
-    recipes += [(sp(d), rot(a)) for d in SP_GRID for a in ROT_GRID]
-    recipes += [(rot(a), sp(d)) for a in ROT_GRID for d in SP_GRID]
-    # padding to the published group count
-    recipes += [(ga(s), rot(a)) for s in _ROT_PAD_GA for a in ROT_GRID]
-    recipes += [(rot(a), ga(s)) for a in ROT_GRID for s in _ROT_PAD_GA]
-
-    conditions = tuple(Condition.from_steps(i, steps) for i, steps in enumerate(recipes))
-    assert len(conditions) == 69
-    return ConditionRegistry(conditions)
+    """The shipped 69-condition catalog; the document's ``#`` lines say how it is built."""
+    doc = resources.files("asibench.data").joinpath("default_registry.txt")
+    return load_registry(doc.read_text(encoding="utf-8"))
 
 
 @dataclass(frozen=True)

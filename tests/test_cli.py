@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from asibench import harness
+from asibench import cli, harness, metrics
 from asibench.cli import main
 from asibench.image import Image
 from asibench.registry import read_manifest
@@ -247,6 +248,20 @@ class TestEvaluateAndScore:
         assert "error: adapter process" in result.output
         assert not (tmp_path / "acc.csv").exists()
 
+    def test_subprocess_child_with_an_undecodable_answer(self, runner, materialized, tmp_path):
+        result = self._evaluate_with_child(runner, materialized, tmp_path, """\
+            import sys
+            sys.stdin.readline()
+            sys.stdout.buffer.write(b"\\xff\\n")
+            sys.stdout.flush()
+            for line in sys.stdin:
+                print("dark", flush=True)
+        """)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "error: adapter process gave an undecodable answer for " in result.output
+        assert not (tmp_path / "acc.csv").exists()
+
     def test_subprocess_child_that_outlives_close(self, runner, materialized, tmp_path,
                                                   monkeypatch):
         monkeypatch.setattr(harness, "CLOSE_WAIT_S", 0.2)
@@ -393,6 +408,15 @@ class TestEvaluateAndScore:
         table.write_text("classifier,condition,accuracy\nm,0,104.2\n")
         assert runner.invoke(main, ["score", "--table", str(table)]).exit_code == 1
 
+    @pytest.mark.parametrize("row", ["a,0", "a,0,100.0,junk"])
+    def test_score_row_with_a_missing_or_extra_field(self, runner, tmp_path, row):
+        table = tmp_path / "acc.csv"
+        table.write_text(f"classifier,condition,accuracy\na,1,90.0\n{row}\n")
+        result = runner.invoke(main, ["score", "--table", str(table)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert f"error: {table}: accuracy table line 3: expected 3 fields" in result.output
+
 
 class TestCompare:
     def test_published_rows(self, runner):
@@ -439,8 +463,8 @@ class TestScoreTableErrors:
          "line 4: repeated classifier id 'a'"),
         ("a,2.000,90.000,0.957\nb,two,90.000,0.957\n",
          "line 3: cv, mean and asi must be numbers"),
-        ("a,2.000,90.000,0.957\nb,2.000\n",
-         "line 3: cv, mean and asi must be numbers"),
+        ("a,2.000,90.000,0.957\nb,2.000\n", "line 3: expected 4 fields"),
+        ("a,1.0,90.0,0.978,junk\n", "line 2: expected 4 fields"),
         ("a,nan,90.000,0.957\n", "line 2: cv, mean and asi must be finite"),
         ("a,2.000,90.000,0.957\nb,2.000,inf,0.957\n", "line 3: cv, mean and asi must be finite"),
         ("a,2.000,90.000,-inf\n", "line 2: cv, mean and asi must be finite"),
@@ -452,6 +476,36 @@ class TestScoreTableErrors:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
         assert f"error: {scores}: {message}" in result.output
+
+
+class TestVerdictRule:
+    """Both compare paths order by the 3-dp asi cells, so equal cells are a tie."""
+
+    @staticmethod
+    def _write(path, scores):
+        with open(path, "w", encoding="utf-8") as fh:
+            cli._write_score_table(scores, fh)
+
+    def test_every_reference_pair_gets_one_verdict(self, tmp_path):
+        fixture = cli._fixture_scores()
+        self._write(tmp_path / "s.csv", fixture.values())
+        table = cli._read_score_table(tmp_path / "s.csv")
+        pairs = list(itertools.combinations(sorted(fixture), 2))
+        assert len(pairs) == 2775
+        ties = 0
+        for a, b in pairs:
+            ordering = metrics.compare(fixture[a], fixture[b]).asi_ordering
+            assert metrics.compare(table[a], table[b]).asi_ordering == ordering, (a, b)
+            ties += ordering == "tie"
+        assert ties  # pairs such as R1 and R49, whose unrounded ASIs differ
+
+    def test_r1_r49_is_a_tie_on_both_paths(self, runner, tmp_path):
+        fixture, path = cli._fixture_scores(), tmp_path / "s.csv"
+        self._write(path, [fixture["R1"], fixture["R49"]])
+        for source in (["--reference"], ["--scores", str(path)]):
+            result = runner.invoke(main, ["compare", *source, "R1", "R49"])
+            assert result.exit_code == 0, result.output
+            assert result.output.splitlines()[-1] == "verdict: tie (both ASI 0.948)"
 
 
 class TestSurfaceCommand:

@@ -4,6 +4,7 @@ import shlex
 import sys
 import textwrap
 import threading
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -323,6 +324,21 @@ class TestSubprocessAdapter:
         # these paths are many times what a pipe buffers
         paths = [f"/{'d' * 4000}/img_{i:04d}.pgm" for i in range(192)]
         assert predict_within(adapter, paths) == paths
+
+    def test_an_undecodable_answer_kills_the_child_at_once(self, tmp_path):
+        adapter = child_adapter(tmp_path, """\
+            import sys
+            for i, line in enumerate(sys.stdin.buffer):
+                sys.stdout.buffer.write(b"\\xff\\n" if i == 0 else line)
+                sys.stdout.flush()
+        """)
+        # unread, the long echoes fill the answer pipe, and the child stops reading
+        paths = [f"/{'d' * 4000}/img_{i:04d}.pgm" for i in range(192)]
+        start = time.monotonic()
+        error = predict_within(adapter, paths)
+        assert time.monotonic() - start < harness.CLOSE_WAIT_S / 4
+        assert isinstance(error, AdapterError)
+        assert f"undecodable answer for {paths[0]}" in str(error)
 
     def test_a_path_that_cannot_be_sent_is_an_adapter_error(self, tmp_path):
         adapter = child_adapter(tmp_path, ECHO)
