@@ -155,17 +155,23 @@ CLOSE_WAIT_S = 10.0
 class SubprocessAdapter:
     """Line-protocol adapter: write an absolute image path, read back a label.
 
-    One long-lived process per adapter, started on first use and never
-    restarted; it answers one line per path, in request order, flushing each
-    line. ``predict_files`` hands every path to a writer thread in one write,
-    which the pipe paces, and each ``predict_file`` call reads one answer. When
-    an answer cannot be read, the process is killed at once.
+    One long-lived process per adapter, started by ``start`` or on first use
+    and never restarted; it answers one line per path, in request order,
+    flushing each line. ``predict_files`` hands every path to a writer thread
+    in one write, which the pipe paces, and each ``predict_file`` call reads
+    one answer. When an answer cannot be read, the process is killed at once,
+    and so is a process that ``close`` finds was never sent a path.
     """
 
     def __init__(self, command: str):
         self.command = command
         self._proc = None
         self._sending = False  # a predict_files call is under way
+        self._sent = False  # some path was handed to the process
+
+    def start(self) -> None:
+        """Start the process now, so that it loads while the caller does other work."""
+        self._ensure()
 
     def _ensure(self):
         if self._proc is None:
@@ -209,7 +215,7 @@ class SubprocessAdapter:
         writer = threading.Thread(
             target=self._send, args=(proc.stdin, "".join(lines)), daemon=True
         )
-        self._sending = True
+        self._sending = self._sent = True
         writer.start()
         try:
             return [self.predict_file(p) for p in paths]
@@ -234,6 +240,8 @@ class SubprocessAdapter:
         proc = self._proc
         if proc is None:
             return
+        if not self._sent:  # nothing for it to finish: do not wait for it to load
+            proc.kill()
         try:
             proc.stdin.close()
         except BrokenPipeError:
@@ -314,6 +322,9 @@ def evaluate(adapter, corpus_dir: str | Path, classifier_id: str = "classifier")
     """Measure per-condition accuracy of an adapter over a materialized corpus.
 
     Verifies every manifest checksum before any prediction. An adapter with a
+    ``start()`` method has it called once the manifest has been read, before
+    the checksums are verified, so that it can load meanwhile; it gets no
+    path until every file is verified. An adapter with a
     ``prepare(root, files)`` method gets the resolved corpus root and a stream
     of ``(manifest entry, file bytes)`` pairs in manifest order, each file read
     once and yielded only after its bytes match its checksum; whatever the
@@ -325,6 +336,9 @@ def evaluate(adapter, corpus_dir: str | Path, classifier_id: str = "classifier")
     """
     corpus_dir = Path(corpus_dir)
     entries = read_manifest(corpus_dir)
+    start = getattr(adapter, "start", None)
+    if start is not None:
+        start()
     root = corpus_dir.resolve()
     prepare = getattr(adapter, "prepare", None)
     if prepare is None:

@@ -149,8 +149,14 @@ MANIFEST_FIELDS = [
 MANIFEST_NAME = "manifest.csv"
 
 
+def _read_file(path: str | Path) -> bytes:
+    # unbuffered: a buffered file adds an isatty call and a buffer that readall never uses
+    with open(path, "rb", buffering=0) as fh:
+        return fh.readall()
+
+
 def sha256_file(path: str | Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    return hashlib.sha256(_read_file(path)).hexdigest()
 
 
 WRITE_BEHIND_FILES = 32  # encoded files that may wait for the writer thread
@@ -397,27 +403,42 @@ def read_manifest(corpus_dir: str | Path) -> list[ManifestEntry]:
                     f"{path}: line {reader.line_num}: bad condition_id {row['condition_id']!r}"
                 ) from None
             entries.append(ManifestEntry(**row))  # the keys are MANIFEST_FIELDS
+    if not entries:
+        raise ManifestError(f"{path}: manifest has no rows")
     return entries
 
 
-def _corpus_file(corpus_dir: Path, entry: ManifestEntry) -> Path:
-    path = corpus_dir / entry.output_path
-    if not path.is_file():
-        raise ManifestError(f"missing corpus file: {path}")
-    return path
+# what opening a manifest path raises when no plain file is there
+_MISSING = (FileNotFoundError, IsADirectoryError, NotADirectoryError)
 
 
-def _check(path: Path, entry: ManifestEntry, digest: str) -> None:
+def _verified(root: str, entry: ManifestEntry, keep: bool) -> bytes | None:
+    """Check the entry's file with one open and one read; return its bytes if ``keep``.
+
+    A file that is missing, a directory, or under a plain file where a
+    directory should be is a missing corpus file. Without ``keep`` the file
+    goes through ``sha256_file``, looked up on every call so that a wrapper
+    of it sees each file.
+    """
+    path = os.path.join(root, entry.output_path)
+    try:
+        if keep:
+            data = _read_file(path)
+            digest = hashlib.sha256(data).hexdigest()
+        else:
+            data, digest = None, sha256_file(path)
+    except _MISSING:
+        raise ManifestError(f"missing corpus file: {path}") from None
     if digest != entry.checksum:
         raise ManifestError(f"checksum mismatch: {path}")
+    return data
 
 
 def verify_manifest(corpus_dir: str | Path, entries: list[ManifestEntry]) -> None:
     """Abort with ManifestError on the first missing or altered file."""
-    corpus_dir = Path(corpus_dir)
+    root = str(Path(corpus_dir))
     for e in entries:
-        path = _corpus_file(corpus_dir, e)
-        _check(path, e, sha256_file(path))
+        _verified(root, e, keep=False)
 
 
 def verified_files(
@@ -428,9 +449,6 @@ def verified_files(
     Fails like ``verify_manifest``, on the first missing or altered file; the
     bytes yielded are the bytes that were hashed.
     """
-    corpus_dir = Path(corpus_dir)
+    root = str(Path(corpus_dir))
     for e in entries:
-        path = _corpus_file(corpus_dir, e)
-        data = path.read_bytes()
-        _check(path, e, hashlib.sha256(data).hexdigest())
-        yield e, data
+        yield e, _verified(root, e, keep=True)

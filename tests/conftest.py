@@ -38,6 +38,20 @@ def write_clean_corpus(corpus, directory):
     return directory
 
 
+def leave_no_plain_file(path, damage):
+    """Take a corpus file away: "deleted", a "directory" in its place, or its
+    "group_is_a_file" (the file's directory replaced by an empty plain file)."""
+    if damage == "group_is_a_file":
+        for entry in path.parent.iterdir():
+            entry.unlink()
+        path.parent.rmdir()
+        path.parent.write_bytes(b"")
+        return
+    path.unlink()
+    if damage == "directory":
+        path.mkdir()
+
+
 @pytest.fixture(scope="session")
 def small_corpus():
     return synthetic_corpus(n_per_class=10, size=16)

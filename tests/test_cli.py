@@ -1,3 +1,4 @@
+import gc
 import itertools
 import json
 import math
@@ -5,16 +6,19 @@ import os
 import shlex
 import sys
 import textwrap
+import time
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from asibench import cli, harness, metrics
+from asibench import cli, harness, metrics, registry
 from asibench.cli import main
 from asibench.image import Image
 from asibench.registry import read_manifest
-from conftest import synthetic_corpus, write_clean_corpus
+from conftest import leave_no_plain_file, synthetic_corpus, write_clean_corpus
 
 
 @pytest.fixture()
@@ -195,6 +199,19 @@ class TestPerturb:
         assert not out.exists()
 
 
+def spy_on_spawns(monkeypatch):
+    """Record every process the subprocess adapter starts."""
+    spawned = []
+    popen = harness.subprocess.Popen
+
+    def recorded(*args, **kwargs):
+        spawned.append(popen(*args, **kwargs))
+        return spawned[-1]
+
+    monkeypatch.setattr(harness.subprocess, "Popen", recorded)
+    return spawned
+
+
 @pytest.fixture()
 def materialized(runner, clean_dir, tmp_path):
     reg = tmp_path / "reg.txt"
@@ -355,6 +372,124 @@ class TestEvaluateAndScore:
         assert "Traceback" not in result.output
         assert not (tmp_path / "acc.csv").exists()
         assert not received.exists() or received.read_text() == ""
+
+    @pytest.mark.parametrize("adapter", ["toy", "file", "subprocess"])
+    def test_header_only_manifest_exits_1_and_starts_nothing(
+        self, runner, materialized, tmp_path, adapter, monkeypatch
+    ):
+        entries = read_manifest(materialized)
+        manifest = materialized / "manifest.csv"
+        manifest.write_text(manifest.read_text().splitlines()[0] + "\n")
+        spawned = spy_on_spawns(monkeypatch)
+        result = runner.invoke(main, [
+            "evaluate", "--corpus", str(materialized),
+            "--adapter", self._adapter_spec(adapter, entries, tmp_path, tmp_path / "log.txt"),
+            "--out", str(tmp_path / "acc.csv"),
+        ])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert f"error: {manifest}: manifest has no rows" in result.output
+        assert not (tmp_path / "acc.csv").exists()
+        assert spawned == []
+
+    @pytest.mark.parametrize("adapter", ["toy", "file", "subprocess"])
+    @pytest.mark.parametrize("damage", ["deleted", "directory", "group_is_a_file"])
+    def test_a_path_with_no_plain_file_exits_1_naming_it(
+        self, runner, materialized, tmp_path, adapter, damage
+    ):
+        entries = read_manifest(materialized)
+        # the first file of the last group, so that every earlier file verifies
+        victim = materialized / next(
+            e.output_path for e in entries if e.condition_id == entries[-1].condition_id
+        )
+        leave_no_plain_file(victim, damage)
+        received = tmp_path / "received.txt"
+        result = runner.invoke(main, [
+            "evaluate", "--corpus", str(materialized),
+            "--adapter", self._adapter_spec(adapter, entries, tmp_path, received),
+            "--out", str(tmp_path / "acc.csv"),
+        ])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output == f"error: missing corpus file: {victim}\n"
+        assert not (tmp_path / "acc.csv").exists()
+        assert not received.exists() or received.read_text() == ""
+
+    def test_a_child_still_loading_is_killed_when_verification_fails(
+        self, runner, materialized, tmp_path
+    ):
+        entries = read_manifest(materialized)
+        victim = materialized / entries[-1].output_path
+        data = bytearray(victim.read_bytes())
+        data[-1] ^= 0x01
+        victim.write_bytes(bytes(data))
+        begun = time.monotonic()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            result = self._evaluate_with_child(runner, materialized, tmp_path, """\
+                import sys, time
+                time.sleep(30)
+                for line in sys.stdin:
+                    print("x", flush=True)
+            """)
+            gc.collect()  # a Popen left running warns when it is collected
+        assert time.monotonic() - begun < 3
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output == f"error: checksum mismatch: {victim}\n"
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+    def test_the_child_starts_before_verification_and_gets_paths_after_it(
+        self, runner, materialized, tmp_path, monkeypatch
+    ):
+        entries = read_manifest(materialized)
+        received = tmp_path / "received.txt"
+        spawned = spy_on_spawns(monkeypatch)
+        verify_manifest = harness.verify_manifest
+        verified = []
+
+        def checked_order(corpus_dir, manifest_entries):
+            assert len(spawned) == 1 and spawned[0].poll() is None  # started, still running
+            verify_manifest(corpus_dir, manifest_entries)
+            assert not received.exists() or received.read_text() == ""
+            verified.append(True)
+
+        monkeypatch.setattr(harness, "verify_manifest", checked_order)
+        result = runner.invoke(main, [
+            "evaluate", "--corpus", str(materialized),
+            "--adapter", self._adapter_spec("subprocess", entries, tmp_path, received),
+            "--out", str(tmp_path / "acc.csv"),
+        ])
+        assert result.exit_code == 0, result.output
+        assert verified == [True]
+        assert len(spawned) == 1
+        assert len(received.read_text().splitlines()) == len(entries)
+
+    @pytest.mark.parametrize("adapter", ["toy", "file", "subprocess"])
+    def test_path_only_adapters_hash_each_file_through_sha256_file(
+        self, runner, materialized, tmp_path, adapter, monkeypatch
+    ):
+        # the benchmark's tracer counts the files evaluate reads by wrapping this name;
+        # an adapter with a prepare hook is handed the bytes that were hashed instead
+        entries = read_manifest(materialized)
+        hashed = []
+        sha256_file = registry.sha256_file
+
+        def counted(path, *args, **kwargs):
+            hashed.append(Path(path))
+            return sha256_file(path, *args, **kwargs)
+
+        monkeypatch.setattr(registry, "sha256_file", counted)
+        result = runner.invoke(main, [
+            "evaluate", "--corpus", str(materialized),
+            "--adapter", self._adapter_spec(adapter, entries, tmp_path, tmp_path / "log.txt"),
+            "--out", str(tmp_path / "acc.csv"),
+        ])
+        assert result.exit_code == 0, result.output
+        if adapter == "subprocess":
+            assert hashed == [materialized / e.output_path for e in entries]
+        else:
+            assert hashed == []
 
     @pytest.mark.parametrize("message", ["repeated path", "expected 2 fields"])
     def test_bad_predictions_file_row_exits_1(self, runner, materialized, tmp_path, message):

@@ -374,7 +374,8 @@ class TestSubprocessAdapter:
         paths = ["/img_0.pgm", "/img_\udcff.pgm", "/img_2.pgm"]
         error = predict_within(adapter, paths)
         assert isinstance(error, AdapterError) and "sending a path failed" in str(error)
-        assert received.read_bytes() == b""
+        # a child that was sent nothing is killed at close, maybe before it made its log
+        assert not received.exists() or received.read_bytes() == b""
 
     def test_every_answer_goes_through_predict_file(self, tmp_path, corpus, monkeypatch):
         # the benchmark's tracer counts and times predict_file calls by name
@@ -416,13 +417,30 @@ class TestSubprocessAdapter:
     def test_close_kills_a_child_that_does_not_exit(self, tmp_path, monkeypatch):
         monkeypatch.setattr(harness, "CLOSE_WAIT_S", 0.2)
         adapter = child_adapter(tmp_path, """\
-            import time
+            import sys, time
+            sys.stdin.readline()
+            print("a", flush=True)
             time.sleep(60)
         """)
-        proc = adapter._ensure()
+        assert adapter.predict_files([tmp_path / "1.pgm"]) == ["a"]
+        proc = adapter._proc
         with pytest.raises(TimeoutError, match="killed"):
             adapter.close()
         assert proc.returncode is not None
+
+    def test_close_kills_a_child_that_was_sent_nothing_at_once(self, tmp_path):
+        adapter = child_adapter(tmp_path, """\
+            import sys, time
+            time.sleep(30)
+            sys.stdin.readline()
+        """)
+        adapter.start()
+        proc = adapter._proc
+        begun = time.monotonic()
+        adapter.close()  # no TimeoutError: the child had nothing to finish
+        assert time.monotonic() - begun < harness.CLOSE_WAIT_S / 4
+        assert proc.returncode is not None
+        assert proc.stdin.closed and proc.stdout.closed
 
 
 class TestPredictionsFileAdapter:

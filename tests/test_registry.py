@@ -24,7 +24,7 @@ from asibench.registry import (
     verified_files,
     verify_manifest,
 )
-from conftest import synthetic_corpus
+from conftest import leave_no_plain_file, synthetic_corpus
 
 # The grids the shipped catalog is documented to enumerate
 SP_GRID = (0.1, 0.15, 0.2)
@@ -242,6 +242,25 @@ class TestMaterialize:
         assert [e for e, _ in itertools.islice(stream, 5)] == entries[:5]
         with pytest.raises(ManifestError, match=re.escape(f"{message}: {victim}") + "$"):
             next(stream)
+
+    @pytest.mark.parametrize("damage", ["directory", "group_is_a_file"])
+    def test_a_path_with_no_plain_file_is_a_missing_corpus_file(
+        self, tmp_path, small_corpus, damage
+    ):
+        entries = materialize(small_corpus[:4], tiny_registry(), 1, tmp_path)
+        victim = tmp_path / entries[4].output_path  # the first file of cond_001
+        leave_no_plain_file(victim, damage)
+        expected = re.escape(f"missing corpus file: {victim}") + "$"
+        with pytest.raises(ManifestError, match=expected):
+            verify_manifest(tmp_path, entries)
+        with pytest.raises(ManifestError, match=expected):
+            list(verified_files(tmp_path, entries))
+
+    def test_header_only_manifest_rejected(self, tmp_path):
+        manifest = tmp_path / registry.MANIFEST_NAME
+        manifest.write_text(",".join(registry.MANIFEST_FIELDS) + "\n")
+        with pytest.raises(ManifestError, match=re.escape(f"{manifest}: manifest has no rows")):
+            read_manifest(tmp_path)
 
     @pytest.mark.parametrize("row,message", [
         ("2,SP0.2,a.pgm", "expected 6 fields"),
