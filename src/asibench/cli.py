@@ -61,6 +61,8 @@ def _read_clean_corpus(corpus_dir: Path, limit: int | None):
         for row in reader:
             if limit is not None and len(rows) == limit:
                 break
+            if None in row:
+                raise ParameterError(f"{labels_path}: line {reader.line_num}: expected 2 fields")
             if not row["label"]:
                 raise ParameterError(f"{labels_path}: line {reader.line_num}: missing label")
             rows.append(row)

@@ -11,10 +11,12 @@ import csv
 import math
 from dataclasses import dataclass
 from importlib import resources
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import MetricError
-from .harness import AccuracySeries
+
+if TYPE_CHECKING:
+    from .harness import AccuracySeries
 
 __all__ = [
     "BenchmarkScore",
@@ -47,36 +49,27 @@ class RelativeDelta:
     asi_ordering: str  # "a", "b", or "tie"
 
 
-def _values(series) -> list[float]:
-    if isinstance(series, AccuracySeries):
-        return [acc for _, acc in series.entries]
-    return [float(v) for v in series]
+def _values(accuracies: Sequence[float]) -> list[float]:
+    return [float(v) for v in accuracies]
 
 
-def mean_accuracy(series) -> float:
+def mean_accuracy(accuracies: Sequence[float]) -> float:
     """Arithmetic mean of per-condition accuracies, in percent."""
-    vals = _values(series)
+    vals = _values(accuracies)
     if not vals:
         raise MetricError("mean accuracy of an empty series is undefined")
     return math.fsum(vals) / len(vals)
 
 
-def coefficient_of_variation(series, sample: bool = False) -> float:
-    """100 x standard deviation / mean of the accuracies.
-
-    Population variance (divide by N) by default; ``sample=True`` divides by
-    N - 1 instead.
-    """
-    vals = _values(series)
+def coefficient_of_variation(accuracies: Sequence[float]) -> float:
+    """100 x population standard deviation (divide by N) / mean of the accuracies."""
+    vals = _values(accuracies)
     if not vals:
         raise MetricError("CV of an empty series is undefined")
     mean = math.fsum(vals) / len(vals)
     if mean == 0.0:
         raise MetricError("CV is undefined for zero mean")
-    denom = len(vals) - 1 if sample else len(vals)
-    if denom == 0:
-        raise MetricError("sample CV needs at least 2 entries")
-    var = math.fsum((v - mean) ** 2 for v in vals) / denom
+    var = math.fsum((v - mean) ** 2 for v in vals) / len(vals)
     return 100.0 * math.sqrt(var) / mean
 
 
@@ -90,8 +83,9 @@ def asi(mean: float, cv: float) -> float:
 
 
 def score(series: AccuracySeries) -> BenchmarkScore:
-    mean = mean_accuracy(series)
-    cv = coefficient_of_variation(series)
+    accuracies = series.accuracies()
+    mean = mean_accuracy(accuracies)
+    cv = coefficient_of_variation(accuracies)
     return BenchmarkScore(
         classifier_id=series.classifier_id,
         mean_accuracy_percent=mean,

@@ -218,92 +218,62 @@ class _WriteBehind:
             raise self._error
 
 
-def _head_rotation(cond: Condition) -> PerturbationStep | None:
-    """The rotation ``cond`` begins with, if any: it draws no randomness."""
-    if cond.steps and cond.steps[0].kind is Kind.ROTATION:
-        return cond.steps[0]
-    return None
-
-
-def _units(conditions: tuple[Condition, ...]) -> list[tuple[Condition, ...]]:
-    """Split the conditions into units of work, in the order of each unit's first condition.
-
-    Every condition whose first step is the same rotation joins one unit, which
-    rotates each clean image once for all of them; any other condition is a unit
-    of its own.
-    """
-    units: list[list[Condition]] = []
-    families: dict[PerturbationStep, list[Condition]] = {}
-    for cond in conditions:
-        head = _head_rotation(cond)
-        if head in families:
-            families[head].append(cond)
-            continue
-        unit = [cond]
-        units.append(unit)
-        if head is not None:
-            families[head] = unit
-    return [tuple(unit) for unit in units]
-
-
-def _write_group(
+def _write_images(
     clean: list[tuple[str, str, Image]],
-    unit: tuple[Condition, ...],
+    indices: range,
+    conditions: tuple[Condition, ...],
     seed: int,
     out_dir: Path,
-) -> list[ManifestEntry]:
-    """Write the image groups of one unit of work (see ``_units``); return their manifest rows.
+) -> list[tuple[int, int, ManifestEntry]]:
+    """Write every condition's file of the clean images at ``indices``, one image at a time.
 
-    Each clean image is rotated once when the unit shares a first rotation;
-    each condition then finishes its later steps with the sub-seed
-    derive_seed(seed, condition_id, image_index), as if it ran alone.
+    Returns (registry position, image index, manifest row) triples. A rotation
+    draws no randomness, so each image is rotated once per distinct first-step
+    angle; each condition then finishes its later steps from that rotation with
+    the sub-seed derive_seed(seed, condition_id, image_index), as if it ran alone.
     """
-    head = _head_rotation(unit[0])
-    skip = 0 if head is None else 1
-    groups = [(cond, out_dir / f"cond_{cond.id:03d}") for cond in unit]
-    for _, group_dir in groups:
-        group_dir.mkdir(exist_ok=True)
-    entries = []
+    rows = []
     with _WriteBehind() as writer:
-        for idx, (name, true_label, img) in enumerate(clean):
-            base = img if head is None else perturb.rotate(img, head.intensity)
-            for cond, group_dir in groups:
-                rest = cond.steps[skip:]
+        for idx in indices:
+            name, true_label, img = clean[idx]
+            rotated: dict[float, Image] = {}
+            for pos, cond in enumerate(conditions):
+                base, rest, skip = img, cond.steps, 0
+                if rest and rest[0].kind is Kind.ROTATION:
+                    angle = rest[0].intensity
+                    if angle not in rotated:
+                        rotated[angle] = perturb.rotate(img, angle)
+                    base, rest, skip = rotated[angle], rest[1:], 1
                 if rest:
-                    sub_seed = derive_seed(seed, cond.id, idx)
-                    result = apply_sequence(base, rest, sub_seed, start=skip)
-                else:
-                    result = base
-                data = netpbm_bytes(result)
-                out_path = group_dir / name
-                writer.write(out_path, data)
-                entries.append(
-                    ManifestEntry(
-                        condition_id=cond.id,
-                        condition_label=cond.label,
-                        source_filename=name,
-                        output_path=str(out_path.relative_to(out_dir)),
-                        true_label=true_label,
-                        checksum=hashlib.sha256(data).hexdigest(),
-                    )
-                )
-    return entries
+                    base = apply_sequence(base, rest, derive_seed(seed, cond.id, idx), start=skip)
+                data = netpbm_bytes(base)
+                output_path = os.path.join(f"cond_{cond.id:03d}", name)
+                writer.write(out_dir / output_path, data)
+                rows.append((pos, idx, ManifestEntry(
+                    condition_id=cond.id,
+                    condition_label=cond.label,
+                    source_filename=name,
+                    output_path=output_path,
+                    true_label=true_label,
+                    checksum=hashlib.sha256(data).hexdigest(),
+                )))
+    return rows
 
 
-_worker_job: tuple | None = None  # (clean, seed, out_dir) inside a pool worker
+_worker_job: tuple | None = None  # (clean, conditions, seed, out_dir, workers) in a pool worker
 
 
-def _init_worker(clean, seed, out_dir) -> None:
+def _init_worker(*job) -> None:
     global _worker_job
-    _worker_job = (clean, seed, out_dir)
+    _worker_job = job
 
 
-def _worker_write_group(unit: tuple[Condition, ...]) -> list[ManifestEntry]:
-    clean, seed, out_dir = _worker_job
-    return _write_group(clean, unit, seed, out_dir)
+def _worker_write_chunk(k: int) -> list[tuple[int, int, ManifestEntry]]:
+    clean, conditions, seed, out_dir, workers = _worker_job
+    return _write_images(clean, range(k, len(clean), workers), conditions, seed, out_dir)
 
 
-def _write_groups_in_pool(clean, units, seed, out_dir, workers):
+def _write_chunks_in_pool(clean, conditions, seed, out_dir, workers):
     # imported here so that importing the CLI does not pay for the pool machinery
     import multiprocessing
     import threading
@@ -319,10 +289,10 @@ def _write_groups_in_pool(clean, units, seed, out_dir, workers):
         workers,
         mp_context=multiprocessing.get_context(method),
         initializer=_init_worker,
-        initargs=(clean, seed, out_dir),
+        initargs=(clean, conditions, seed, out_dir, workers),
     )
     try:
-        return list(pool.map(_worker_write_group, units))
+        return [row for chunk in pool.map(_worker_write_chunk, range(workers)) for row in chunk]
     except BrokenProcessPool as exc:
         raise ChildProcessError(f"a perturb worker process died: {exc}") from None
     finally:
@@ -345,11 +315,13 @@ def materialize(
     image_index). Output bytes depend only on (clean, registry, seed). A
     filename that repeats or is not a plain file name fails before any write.
 
-    ``jobs`` caps the worker processes that write groups in parallel (at most
-    one per unit of work and per CPU); 1 writes every group in this process.
-    A unit of work is one condition, or all the conditions that begin with the
-    same rotation. Each unit writes its files from a background thread. The
-    manifest is in registry order whatever the scheduling.
+    The work goes one clean image at a time: each image is rotated once per
+    distinct first-step angle, then every condition is finished from there and
+    its file handed to a background writer thread. ``jobs`` caps the worker
+    processes, and so does the CPU count; of W workers, worker k takes the
+    images k, k + W, k + 2W, ..., so a worker may have none. With one worker
+    every file is written in this process. The manifest is in registry order,
+    then image order, whatever the scheduling.
     """
     if not clean:
         raise ParameterError("clean corpus is empty")
@@ -364,16 +336,18 @@ def materialize(
         seen.add(name)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    units = _units(registry.conditions)
-    workers = min(jobs, len(units), os.cpu_count() or 1)
+    conditions = registry.conditions
+    for cond in conditions:
+        (out_dir / f"cond_{cond.id:03d}").mkdir(exist_ok=True)
+    # not capped by the image count: a run with fewer images than workers still
+    # keeps every kernel, and the rotation plans it caches, out of this process
+    workers = min(jobs, os.cpu_count() or 1)
     if workers == 1:
-        groups = [_write_group(clean, unit, seed, out_dir) for unit in units]
+        rows = _write_images(clean, range(len(clean)), conditions, seed, out_dir)
     else:
-        groups = _write_groups_in_pool(clean, units, seed, out_dir, workers)
-    position = {cond.id: i for i, cond in enumerate(registry.conditions)}
-    entries = sorted(
-        (e for group in groups for e in group), key=lambda e: position[e.condition_id]
-    )
+        rows = _write_chunks_in_pool(clean, conditions, seed, out_dir, workers)
+    rows.sort(key=lambda row: row[:2])
+    entries = [entry for _, _, entry in rows]
     with open(out_dir / MANIFEST_NAME, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=MANIFEST_FIELDS)
         writer.writeheader()

@@ -133,6 +133,19 @@ class TestPerturb:
         assert f"error: {labels}: line {line}: missing label" in result.output
         assert not out.exists()
 
+    def test_row_with_extra_field_is_validation_error(self, runner, clean_dir, tmp_path):
+        labels = clean_dir / "labels.csv"
+        rows = labels.read_text().splitlines()
+        rows[3] = rows[3] + ",EXTRA"
+        labels.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "o"
+        result = runner.invoke(main, [
+            "perturb", "--corpus", str(clean_dir), "--out", str(out),
+        ])
+        assert result.exit_code == 1
+        assert f"error: {labels}: line 4: expected 2 fields" in result.output
+        assert not out.exists()
+
     @pytest.mark.parametrize("size", ["0", "-1"])
     def test_group_size_below_one_is_validation_error(self, runner, clean_dir, tmp_path, size):
         out = tmp_path / "o"

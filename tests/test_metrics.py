@@ -43,10 +43,6 @@ class TestMeanAccuracy:
         assert math.fsum(series) / 69 == pytest.approx(89.702, abs=1e-9)
         assert mean_accuracy(series) == pytest.approx(89.702, abs=1e-9)
 
-    def test_accepts_accuracy_series(self):
-        s = AccuracySeries("m", ((0, 80.0), (1, 100.0)))
-        assert mean_accuracy(s) == 90.0
-
     def test_empty_rejected(self):
         with pytest.raises(MetricError):
             mean_accuracy([])
@@ -68,10 +64,6 @@ class TestCoefficientOfVariation:
         cv = coefficient_of_variation([90.0, 90.0, 90.0, 90.0, 80.0])
         assert cv == pytest.approx(100.0 * 4.0 / 88.0, rel=1e-12)
         assert cv == pytest.approx(4.5454, abs=1e-4)
-
-    def test_sample_variant(self):
-        cv = coefficient_of_variation([80.0, 90.0, 100.0], sample=True)
-        assert cv == pytest.approx(100.0 * 10.0 / 90.0, rel=1e-12)
 
     def test_zero_mean_rejected(self):
         with pytest.raises(MetricError):

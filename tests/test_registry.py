@@ -198,7 +198,7 @@ class TestMaterialize:
     def test_worker_death_is_child_process_error(self, tmp_path, small_corpus, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         # a forked worker inherits the patch and exits without an answer
-        monkeypatch.setattr(registry, "_write_group", lambda *args: os._exit(3))
+        monkeypatch.setattr(registry, "_write_images", lambda *args: os._exit(3))
         with pytest.raises(ChildProcessError, match="worker process died"):
             materialize(small_corpus[:2], tiny_registry(), 0, tmp_path, jobs=2)
 
@@ -298,15 +298,6 @@ def _thread_count_kept(call):
 
 
 class TestUnitsOfWork:
-    def test_default_registry_has_49_units(self):
-        units = registry._units(default_registry().conditions)
-        assert len(units) == 49
-        families = [u for u in units if len(u) > 1]
-        assert [len(u) for u in families] == [6] * 4
-        for unit in families:
-            assert len({c.steps[0] for c in unit}) == 1
-            assert unit[0].steps[0].kind is Kind.ROTATION
-
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_every_file_is_its_direct_computation(self, tmp_path, small_corpus, monkeypatch,
                                                   jobs):
@@ -350,6 +341,24 @@ class TestUnitsOfWork:
         for _, _, img in clean:
             assert calls[img.pixels.tobytes(), 30.0] == 1
             assert calls[img.pixels.tobytes(), -30.0] == 1
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="the patch reaches the workers only through fork")
+    def test_fewer_images_than_workers_runs_no_kernel_here(self, tmp_path, small_corpus,
+                                                           monkeypatch):
+        # a kernel run here would keep its rotation plans in this process's memory
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        log = tmp_path / "kernel_pids"
+        for name in ("rotate", "apply_salt_pepper", "apply_gaussian_noise"):
+            def logged(*args, kernel=getattr(perturb, name)):
+                with open(log, "a") as fh:
+                    fh.write(f"{os.getpid()}\n")
+                return kernel(*args)
+
+            monkeypatch.setattr(perturb, name, logged)
+        materialize(small_corpus[:1], load_registry(INTERLEAVED), 31, tmp_path / "out", jobs=2)
+        pids = set(log.read_text().split())
+        assert pids and str(os.getpid()) not in pids
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_write_error_reaches_the_caller(self, tmp_path, small_corpus, monkeypatch, jobs):
