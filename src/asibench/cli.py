@@ -9,7 +9,6 @@ from the explicit --seed flag. Exit codes: 0 success, 1 validation error,
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import sys
@@ -17,7 +16,7 @@ from pathlib import Path
 
 import click
 
-from . import harness, metrics, registry, surface
+from . import harness, metrics, registry, surface, tables
 from .errors import BenchmarkError, ParameterError
 from .image import read_netpbm
 
@@ -53,19 +52,14 @@ def _read_clean_corpus(corpus_dir: Path, limit: int | None):
         raise ParameterError(f"clean corpus directory not found: {corpus_dir}")
     if not labels_path.is_file():
         raise ParameterError(f"labels file not found: {labels_path}")
+    rows = []
     with open(labels_path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != ["filename", "label"]:
-            raise ParameterError(f"{labels_path}: header must be 'filename,label'")
-        rows = []
-        for row in reader:
-            if limit is not None and len(rows) == limit:
-                break
-            if None in row:
-                raise ParameterError(f"{labels_path}: line {reader.line_num}: expected 2 fields")
+        for where, row in tables.rows(fh, ["filename", "label"], labels_path, ParameterError):
             if not row["label"]:
-                raise ParameterError(f"{labels_path}: line {reader.line_num}: missing label")
+                raise ParameterError(f"{where}: missing label")
             rows.append(row)
+            if len(rows) == limit:
+                break
     clean = []
     for row in rows:
         path = corpus_dir / row["filename"]
@@ -176,15 +170,9 @@ def _score(cid: str, cv: float, mean: float, asi: float) -> metrics.BenchmarkSco
 
 def _read_score_table(path: Path) -> dict[str, metrics.BenchmarkScore]:
     scores = {}
-    fields = SCORE_HEADER.split(",")
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != fields:
-            raise ParameterError(f"{path}: header must be {SCORE_HEADER!r}")
-        for row in reader:
-            cid, where = row["classifier"], f"{path}: line {reader.line_num}"
-            if None in row or None in row.values():
-                raise ParameterError(f"{where}: expected {len(fields)} fields")
+        for where, row in tables.rows(fh, SCORE_HEADER.split(","), path, ParameterError):
+            cid = row["classifier"]
             if cid in scores:
                 raise ParameterError(f"{where}: repeated classifier id {cid!r}")
             try:

@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import tables
 from .errors import AdapterError, ParameterError
 # read_netpbm stays importable from here: perfbench/tracing.py wraps it under this module's name
 from .image import decode_netpbm, read_netpbm  # noqa: F401
@@ -265,20 +266,11 @@ class PredictionsFileAdapter:
     (relative to the corpus root), once per file.
     """
 
-    def __init__(self, table_path: str | Path, corpus_dir: str | Path | None = None):
-        # resolved once: every lookup compares a resolved image path against it
-        self._root = Path(corpus_dir).resolve() if corpus_dir is not None else None
+    def __init__(self, table_path: str | Path):
+        self._root: Path | None = None  # the resolved root of the corpus being evaluated
         self._labels: dict[str, str] = {}
         with open(table_path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames != ["path", "label"]:
-                raise ParameterError(
-                    f"{table_path}: predictions file must have header 'path,label'"
-                )
-            for row in reader:
-                where = f"{table_path}: line {reader.line_num}"
-                if None in row or None in row.values():
-                    raise ParameterError(f"{where}: expected 2 fields")
+            for where, row in tables.rows(fh, ["path", "label"], table_path, ParameterError):
                 if row["path"] in self._labels:
                     raise ParameterError(f"{where}: repeated path {row['path']!r}")
                 self._labels[row["path"]] = row["label"]
@@ -296,9 +288,8 @@ class PredictionsFileAdapter:
         return self._labels[key]
 
     def prepare(self, root: Path, files) -> None:
-        """Without a corpus_dir, keys are relative to the corpus being evaluated."""
-        if self._root is None:
-            self._root = root
+        """Keys are relative to the corpus being evaluated."""
+        self._root = root
 
     def predict_files(self, paths: list[Path]) -> list[str]:
         return [self.predict_file(p) for p in paths]
@@ -370,19 +361,11 @@ ACCURACY_TABLE_HEADER = ["classifier", "condition", "accuracy"]
 
 def load_accuracy_table(text: str) -> list[AccuracySeries]:
     """Parse a ``classifier,condition,accuracy`` CSV into one series per classifier."""
-    reader = csv.DictReader(text.splitlines())
     if not text.strip():
         return []
-    if reader.fieldnames != ACCURACY_TABLE_HEADER:
-        raise ParameterError(
-            f"accuracy table must have header {','.join(ACCURACY_TABLE_HEADER)!r}, "
-            f"got {reader.fieldnames}"
-        )
     per_classifier: dict[str, dict[int, float]] = {}
-    for row in reader:
-        where = f"accuracy table line {reader.line_num}"
-        if None in row or None in row.values():
-            raise ParameterError(f"{where}: expected {len(ACCURACY_TABLE_HEADER)} fields")
+    lines = text.splitlines()
+    for where, row in tables.rows(lines, ACCURACY_TABLE_HEADER, "accuracy table", ParameterError):
         clf = row["classifier"]
         try:
             cond = int(row["condition"])

@@ -7,12 +7,12 @@ happens only when reports are rendered.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from importlib import resources
 from typing import TYPE_CHECKING, Sequence
 
+from . import tables
 from .errors import MetricError
 
 if TYPE_CHECKING:
@@ -126,9 +126,10 @@ class FixtureRow:
 
 def load_reference_scores() -> list[FixtureRow]:
     """Load the shipped 75-row published score table."""
-    text = resources.files("asibench.data").joinpath("reference_scores.csv").read_text("utf-8")
+    path = resources.files("asibench.data").joinpath("reference_scores.csv")
+    fields = ["row_id", "condition_label", "classifier", "cv", "mean", "asi"]
     rows = []
-    for rec in csv.DictReader(text.splitlines()):
+    for _, rec in tables.rows(path.read_text("utf-8").splitlines(), fields, path, MetricError):
         rows.append(
             FixtureRow(
                 row_id=int(rec["row_id"]),

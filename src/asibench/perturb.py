@@ -27,7 +27,6 @@ __all__ = [
     "apply_gaussian_noise",
     "rotate",
     "apply_sequence",
-    "apply_step",
 ]
 
 
@@ -173,14 +172,6 @@ def rotate(img: Image, degrees: float) -> Image:
     return Image(out.reshape(h, w, c))
 
 
-def apply_step(img: Image, step: PerturbationStep, seed: int) -> Image:
-    if step.kind is Kind.SALT_PEPPER:
-        return apply_salt_pepper(img, step.intensity, seed)
-    if step.kind is Kind.GAUSSIAN:
-        return apply_gaussian_noise(img, step.intensity, seed)
-    return rotate(img, step.intensity)
-
-
 def apply_sequence(img: Image, steps, seed: int, *, start: int = 0) -> Image:
     """Apply steps strictly in order; step i draws from derive_seed(seed, i).
 
@@ -193,8 +184,10 @@ def apply_sequence(img: Image, steps, seed: int, *, start: int = 0) -> Image:
     for i, step in enumerate(steps, start):
         if step.kind is Kind.ROTATION:
             out = rotate(out, step.intensity)
+        elif step.kind is Kind.SALT_PEPPER:
+            out = apply_salt_pepper(out, step.intensity, derive_seed(seed, i))
         else:
-            out = apply_step(out, step, derive_seed(seed, i))
+            out = apply_gaussian_noise(out, step.intensity, derive_seed(seed, i))
     if out is img:
         out = Image(img.pixels.copy())
     return out

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from . import perturb
+from . import perturb, tables
 from .errors import ManifestError, ParameterError, RegistryError
 from .image import Image, netpbm_bytes
 from .perturb import Kind, PerturbationStep, apply_sequence, derive_seed
@@ -361,21 +361,16 @@ def read_manifest(corpus_dir: str | Path) -> list[ManifestEntry]:
     if not path.is_file():
         raise ManifestError(f"manifest not found: {path}")
     entries = []
+    seen = set()  # output paths: a repeated row would count one file twice
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != MANIFEST_FIELDS:
-            raise ManifestError(f"{path}: unexpected manifest header {reader.fieldnames}")
-        for row in reader:
-            if len(row) != len(MANIFEST_FIELDS) or None in row.values():
-                raise ManifestError(
-                    f"{path}: line {reader.line_num}: expected {len(MANIFEST_FIELDS)} fields"
-                )
+        for where, row in tables.rows(fh, MANIFEST_FIELDS, path, ManifestError):
             try:
                 row["condition_id"] = int(row["condition_id"])
             except ValueError:
-                raise ManifestError(
-                    f"{path}: line {reader.line_num}: bad condition_id {row['condition_id']!r}"
-                ) from None
+                raise ManifestError(f"{where}: bad condition_id {row['condition_id']!r}") from None
+            if row["output_path"] in seen:
+                raise ManifestError(f"{where}: repeated output_path {row['output_path']!r}")
+            seen.add(row["output_path"])
             entries.append(ManifestEntry(**row))  # the keys are MANIFEST_FIELDS
     if not entries:
         raise ManifestError(f"{path}: manifest has no rows")

@@ -53,8 +53,31 @@ def test_runtime_imports_leaves_out_type_checking_blocks():
     assert runtime_imports(source) == {"cli", "metrics", "registry"}
 
 
-@pytest.mark.parametrize("name", ["metrics", "surface"])
+@pytest.mark.parametrize("name", ["metrics", "surface", "tables"])
 def test_pure_core_does_not_import_the_io_layers(name):
     # the arithmetic must stay usable without the adapters, the corpus files or the CLI
     source = (Path(asibench.__file__).parent / f"{name}.py").read_text(encoding="utf-8")
     assert runtime_imports(source) & {"harness", "registry", "cli"} == set()
+
+
+def csv_readers(source: str) -> list[str]:
+    """Each ``csv.reader`` or ``csv.DictReader`` that ``source`` uses or imports."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id == "csv" and node.attr in ("reader", "DictReader"):
+                found.append(node.attr)
+        elif isinstance(node, ast.ImportFrom) and node.module == "csv":
+            found += [a.name for a in node.names if a.name in ("reader", "DictReader")]
+    return found
+
+
+def test_only_the_table_reader_reads_csv():
+    # every table goes through tables.rows, which holds the header, field-count and line rules
+    package = Path(asibench.__file__).parent
+    readers = {
+        path.name: csv_readers(path.read_text(encoding="utf-8"))
+        for path in package.glob("*.py")
+    }
+    assert readers.pop("tables.py") == ["reader"]
+    assert {name: found for name, found in readers.items() if found} == {}

@@ -118,19 +118,22 @@ class TestPerturb:
         assert "Traceback" not in result.output
         assert isinstance(result.exception, SystemExit)
 
-    @pytest.mark.parametrize("row,line", [("mid_00.pgm", 4), ("mid_00.pgm,", 4)])
+    @pytest.mark.parametrize("row,message", [
+        ("mid_00.pgm", "expected 2 fields"),  # no label field, as any table's missing field
+        ("mid_00.pgm,", "missing label"),
+    ])
     def test_row_without_label_is_validation_error(self, runner, clean_dir, tmp_path, row,
-                                                   line):
+                                                   message):
         labels = clean_dir / "labels.csv"
         rows = labels.read_text().splitlines()
-        rows[line - 1] = row
+        rows[3] = row
         labels.write_text("\n".join(rows) + "\n")
         out = tmp_path / "o"
         result = runner.invoke(main, [
             "perturb", "--corpus", str(clean_dir), "--out", str(out),
         ])
         assert result.exit_code == 1
-        assert f"error: {labels}: line {line}: missing label" in result.output
+        assert f"error: {labels}: line 4: {message}" in result.output
         assert not out.exists()
 
     def test_row_with_extra_field_is_validation_error(self, runner, clean_dir, tmp_path):
@@ -386,6 +389,26 @@ class TestEvaluateAndScore:
         assert not (tmp_path / "acc.csv").exists()
         assert not received.exists() or received.read_text() == ""
 
+    def test_repeated_manifest_row_exits_1(self, runner, materialized, tmp_path):
+        # counted twice, the copy of a dark row would raise an always-dark
+        # classifier's accuracy on its condition from 2/6 to 3/7
+        manifest = materialized / "manifest.csv"
+        lines = manifest.read_text().splitlines()
+        copy = next(line for line in lines if line.startswith("2,") and ",dark," in line)
+        manifest.write_text("\n".join(lines + [copy]) + "\n")
+        result = self._evaluate_with_child(runner, materialized, tmp_path, """\
+            import sys
+            for line in sys.stdin:
+                print("dark", flush=True)
+        """)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        path = copy.split(",")[3]
+        assert (f"error: {manifest}: line {len(lines) + 1}: repeated output_path {path!r}"
+                in result.output)
+        assert "Traceback" not in result.output
+        assert not (tmp_path / "acc.csv").exists()
+
     @pytest.mark.parametrize("adapter", ["toy", "file", "subprocess"])
     def test_header_only_manifest_exits_1_and_starts_nothing(
         self, runner, materialized, tmp_path, adapter, monkeypatch
@@ -563,7 +586,7 @@ class TestEvaluateAndScore:
         result = runner.invoke(main, ["score", "--table", str(table)])
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
-        assert f"error: {table}: accuracy table line 3: expected 3 fields" in result.output
+        assert f"error: {table}: accuracy table: line 3: expected 3 fields" in result.output
 
 
 class TestCompare:

@@ -449,20 +449,9 @@ class TestPredictionsFileAdapter:
         lines = ["path,label"] + [f"{e.output_path},{e.true_label}" for e in entries]
         pred = tmp_path / "pred.csv"
         pred.write_text("\n".join(lines) + "\n")
-        adapter = PredictionsFileAdapter(pred, corpus_dir=corpus)
+        adapter = PredictionsFileAdapter(pred)
         series = evaluate(adapter, corpus)
         assert all(acc == 100.0 for acc in series.accuracies())
-
-    def test_absolute_and_relative_paths_agree(self, tmp_path, corpus, monkeypatch):
-        entry = read_manifest(corpus)[0]
-        pred = tmp_path / "pred.csv"
-        pred.write_text(f"path,label\n{entry.output_path},{entry.true_label}\n")
-        monkeypatch.chdir(corpus.parent)
-        adapter = PredictionsFileAdapter(pred, corpus_dir=corpus.name)
-        relative = corpus.relative_to(corpus.parent) / entry.output_path
-        assert not relative.is_absolute()
-        assert adapter.predict_file(relative) == entry.true_label
-        assert adapter.predict_file(corpus / entry.output_path) == entry.true_label
 
     def test_without_corpus_dir_keys_are_relative_to_the_evaluated_corpus(
         self, tmp_path, corpus, monkeypatch

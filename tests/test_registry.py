@@ -266,6 +266,8 @@ class TestMaterialize:
         ("2,SP0.2,a.pgm", "expected 6 fields"),
         ("2,SP0.2,a.pgm,cond_002/a.pgm,dark,00,extra", "expected 6 fields"),
         ("two,SP0.2,a.pgm,cond_002/a.pgm,dark,00", "bad condition_id 'two'"),
+        ("0,clean,dark_00.pgm,cond_000/dark_00.pgm,dark,00",
+         "repeated output_path 'cond_000/dark_00.pgm'"),
     ])
     def test_malformed_manifest_row_names_the_line(self, tmp_path, small_corpus, row, message):
         materialize(small_corpus[:2], tiny_registry(), 1, tmp_path)
