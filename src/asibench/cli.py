@@ -16,9 +16,10 @@ from pathlib import Path
 
 import click
 
-from . import harness, metrics, registry, surface, tables
+# harness, registry and image load numpy: the commands that use them import them
+# when they run, so that --help, report and compare start without it
+from . import metrics, surface, tables
 from .errors import BenchmarkError, ParameterError
-from .image import read_netpbm
 
 EXIT_VALIDATION = 1
 EXIT_IO = 2
@@ -47,6 +48,8 @@ def _guard(fn):
 
 def _read_clean_corpus(corpus_dir: Path, limit: int | None):
     """Read PGM/PPM images plus labels.csv (filename,label) from a directory."""
+    from .image import read_netpbm
+
     labels_path = corpus_dir / "labels.csv"
     if not corpus_dir.is_dir():
         raise ParameterError(f"clean corpus directory not found: {corpus_dir}")
@@ -94,6 +97,8 @@ def main():
 @_guard
 def cmd_perturb(corpus_dir, registry_path, seed, group_size, out_dir, jobs):
     """Materialize one image group per registry condition."""
+    from . import registry
+
     if group_size is not None and group_size < 1:
         raise ParameterError(f"group size must be >= 1, got {group_size}")
     if registry_path is None:
@@ -123,6 +128,8 @@ def cmd_perturb(corpus_dir, registry_path, seed, group_size, out_dir, jobs):
 @_guard
 def cmd_evaluate(corpus_dir, adapter_spec, classifier_id, out_path):
     """Run a classifier adapter over a corpus; write an accuracy table."""
+    from . import harness
+
     adapter = harness.make_adapter(adapter_spec)
     try:
         series = harness.evaluate(adapter, corpus_dir, classifier_id=classifier_id)
@@ -151,6 +158,8 @@ def _write_score_table(rows, out):
 @_guard
 def cmd_score(table_path, out_path):
     """Score each classifier in an accuracy table (mean, CV, index)."""
+    from . import harness
+
     series_list = harness.load_accuracy_table_file(table_path)
     rows = [metrics.score(s) for s in sorted(series_list, key=lambda s: s.classifier_id)]
     if out_path is None:

@@ -248,11 +248,22 @@ class SubprocessAdapter:
         except BrokenPipeError:
             pass  # a path still buffered for a process that has exited
         proc.stdout.close()
-        try:
-            proc.wait(timeout=CLOSE_WAIT_S)
-        except subprocess.TimeoutExpired:
+        # a blocking wait returns as the process exits; wait(timeout=) would poll with
+        # sleeps that overshoot the exit, so a timer bounds the wait instead
+        timed_out = threading.Event()
+
+        def kill() -> None:
+            timed_out.set()
             proc.kill()
+
+        timer = threading.Timer(CLOSE_WAIT_S, kill)
+        timer.start()
+        try:
             proc.wait()
+        finally:
+            timer.cancel()
+            timer.join()
+        if timed_out.is_set():
             raise TimeoutError(
                 f"adapter process {self.command!r} did not exit within {CLOSE_WAIT_S:g} s "
                 "of its input closing; killed it"

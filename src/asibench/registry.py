@@ -361,16 +361,17 @@ def read_manifest(corpus_dir: str | Path) -> list[ManifestEntry]:
     if not path.is_file():
         raise ManifestError(f"manifest not found: {path}")
     entries = []
-    seen = set()  # output paths: a repeated row would count one file twice
+    seen = set()  # normalized output paths: a file listed twice would count twice
     with open(path, newline="", encoding="utf-8") as fh:
         for where, row in tables.rows(fh, MANIFEST_FIELDS, path, ManifestError):
             try:
                 row["condition_id"] = int(row["condition_id"])
             except ValueError:
                 raise ManifestError(f"{where}: bad condition_id {row['condition_id']!r}") from None
-            if row["output_path"] in seen:
+            key = os.path.normpath(row["output_path"])
+            if key in seen:
                 raise ManifestError(f"{where}: repeated output_path {row['output_path']!r}")
-            seen.add(row["output_path"])
+            seen.add(key)
             entries.append(ManifestEntry(**row))  # the keys are MANIFEST_FIELDS
     if not entries:
         raise ManifestError(f"{path}: manifest has no rows")

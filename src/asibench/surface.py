@@ -1,7 +1,9 @@
 """Accuracy-stability index surface over the (mean accuracy, CV) plane.
 
 Produces grid data for external plotting. Every cell delegates to
-``metrics.asi``; this module holds no metric arithmetic of its own.
+``metrics.asi``; this module holds no metric arithmetic of its own. numpy is
+imported where a grid is built or parsed, so that the CLI can read the
+defaults below without loading it.
 """
 
 from __future__ import annotations
@@ -9,11 +11,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ParameterError
 from .metrics import asi
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "SurfaceGrid",
@@ -39,6 +43,8 @@ class SurfaceGrid:
     mask: np.ndarray  # True where ASI is undefined (mean + cv = 0)
 
     def __post_init__(self):
+        import numpy as np
+
         for name in ("mean_axis", "cv_axis", "values", "mask"):
             arr = np.asarray(getattr(self, name))
             arr.setflags(write=False)
@@ -63,6 +69,8 @@ def surface_grid(
     for (lo, hi), name in ((mean_range, "mean"), (cv_range, "cv")):
         if lo < 0.0 or hi <= lo:
             raise ParameterError(f"{name} range must satisfy 0 <= lo < hi, got ({lo}, {hi})")
+    import numpy as np
+
     mean_axis = np.linspace(mean_range[0], mean_range[1], resolution)
     cv_axis = np.linspace(cv_range[0], cv_range[1], resolution)
     values = np.zeros((resolution, resolution))
@@ -118,6 +126,8 @@ def parse_grid_csv(path: str | Path) -> list[tuple[float, float, float]]:
 
 
 def parse_grid_json(path: str | Path) -> SurfaceGrid:
+    import numpy as np
+
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     values = np.array(
         [[0.0 if v is None else v for v in row] for row in doc["values"]]

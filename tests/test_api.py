@@ -1,6 +1,10 @@
 import ast
 import importlib
+import json
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -81,3 +85,54 @@ def test_only_the_table_reader_reads_csv():
     }
     assert readers.pop("tables.py") == ["reader"]
     assert {name: found for name, found in readers.items() if found} == {}
+
+
+# Runs in a fresh interpreter: what `import asibench.cli` and the light commands load,
+# and what each public name of the package resolves to.
+IMPORT_PROBE = """\
+import contextlib, io, json, sys
+HEAVY = ["numpy", "asibench.image", "asibench.perturb", "asibench.registry",
+         "asibench.harness"]
+loaded = lambda: [m for m in HEAVY if m in sys.modules]
+import asibench.cli
+after_import = loaded()
+codes = []
+for args in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            asibench.cli.main(args, prog_name="asibench")
+        except SystemExit as exc:
+            codes.append(exc.code)
+after_commands = loaded()
+import asibench
+star = {}
+exec("from asibench import *", star)
+misplaced = []
+for name in asibench.__all__:
+    obj = getattr(asibench, name)
+    if getattr(sys.modules[obj.__module__], name) is not obj or star[name] is not obj:
+        misplaced.append(name)
+print(json.dumps({"after_import": after_import, "codes": codes,
+                  "after_commands": after_commands, "misplaced": misplaced}))
+"""
+
+
+def test_the_cli_and_its_light_commands_load_no_numpy(tmp_path):
+    scores = tmp_path / "scores.csv"
+    scores.write_text("classifier,cv,mean,asi\na,2.276,85.250,0.948\nb,3.000,80.000,0.900\n")
+    commands = [
+        ["--help"],
+        ["report", "--scores", str(scores)],
+        ["compare", "--reference", "R4", "R8"],
+        ["compare", "--scores", str(scores), "a", "b"],
+    ]
+    src = str(Path(asibench.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, json.dumps(commands)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "after_import": [], "codes": [0, 0, 0, 0], "after_commands": [], "misplaced": [],
+    }

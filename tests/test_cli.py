@@ -1,4 +1,5 @@
 import gc
+import inspect
 import itertools
 import json
 import math
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from asibench import cli, harness, metrics, registry
+from asibench import cli, harness, metrics, registry, surface
 from asibench.cli import main
 from asibench.image import Image
 from asibench.registry import read_manifest
@@ -680,6 +681,18 @@ class TestVerdictRule:
 
 
 class TestSurfaceCommand:
+    @pytest.mark.parametrize("param,default", [
+        ("mean_range", "DEFAULT_MEAN_RANGE"),
+        ("cv_range", "DEFAULT_CV_RANGE"),
+        ("resolution", "DEFAULT_RESOLUTION"),
+    ])
+    def test_option_defaults_are_the_surface_defaults(self, param, default):
+        # one source: the options and surface_grid's parameters share the module's constants
+        expected = getattr(surface, default)
+        option = next(p for p in cli.cmd_surface.params if p.name == param)
+        assert option.default is expected
+        assert inspect.signature(surface.surface_grid).parameters[param].default is expected
+
     def test_corner_rows(self, runner, tmp_path):
         out = tmp_path / "grid.csv"
         result = runner.invoke(main, [

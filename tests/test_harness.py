@@ -428,6 +428,22 @@ class TestSubprocessAdapter:
             adapter.close()
         assert proc.returncode is not None
 
+    @pytest.mark.parametrize("lingers", [False, True])
+    def test_close_leaves_no_thread_behind(self, tmp_path, monkeypatch, lingers):
+        # the timer that bounds close's wait ends with it, whether or not it fired
+        monkeypatch.setattr(harness, "CLOSE_WAIT_S", 0.2)
+        linger = "    import time; time.sleep(60)\n" if lingers else ""
+        adapter = child_adapter(tmp_path, ECHO + linger)
+        assert adapter.predict_files([tmp_path / "1.pgm"]) == [str(tmp_path / "1.pgm")]
+        before = threading.active_count()
+        if lingers:
+            with pytest.raises(TimeoutError, match="killed"):
+                adapter.close()
+        else:
+            adapter.close()
+        assert threading.active_count() == before
+        assert adapter._proc.returncode is not None
+
     def test_close_kills_a_child_that_was_sent_nothing_at_once(self, tmp_path):
         adapter = child_adapter(tmp_path, """\
             import sys, time

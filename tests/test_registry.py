@@ -268,6 +268,8 @@ class TestMaterialize:
         ("two,SP0.2,a.pgm,cond_002/a.pgm,dark,00", "bad condition_id 'two'"),
         ("0,clean,dark_00.pgm,cond_000/dark_00.pgm,dark,00",
          "repeated output_path 'cond_000/dark_00.pgm'"),
+        ("0,clean,dark_00.pgm,cond_000/./dark_00.pgm,dark,00",
+         "repeated output_path 'cond_000/./dark_00.pgm'"),
     ])
     def test_malformed_manifest_row_names_the_line(self, tmp_path, small_corpus, row, message):
         materialize(small_corpus[:2], tiny_registry(), 1, tmp_path)
