@@ -25,6 +25,7 @@ __all__ = [
     "mean_accuracy",
     "coefficient_of_variation",
     "asi",
+    "asi_grid",
     "score",
     "compare",
     "load_reference_scores",
@@ -73,13 +74,36 @@ def coefficient_of_variation(accuracies: Sequence[float]) -> float:
     return 100.0 * math.sqrt(var) / mean
 
 
+def _index(mean, cv, total):
+    """The index's one expression, (mean - cv) / total with total = mean + cv, for
+    floats and broadcast numpy arrays alike."""
+    return (mean - cv) / total
+
+
 def asi(mean: float, cv: float) -> float:
-    """(mean - cv) / (mean + cv), defined only when mean + cv > 0."""
+    """(mean - cv) / (mean + cv), defined only for finite mean, cv >= 0 with mean + cv > 0."""
+    if not (math.isfinite(mean) and math.isfinite(cv)):
+        raise MetricError(f"mean and cv must be finite, got {mean}, {cv}")
     if mean < 0.0 or cv < 0.0:
         raise MetricError(f"mean and cv must be non-negative, got {mean}, {cv}")
-    if mean + cv == 0.0:
+    total = mean + cv
+    if total == 0.0:
         raise MetricError("ASI is undefined when mean + cv = 0")
-    return (mean - cv) / (mean + cv)
+    return _index(mean, cv, total)
+
+
+def asi_grid(mean_axis, cv_axis):
+    """asi at every (mean, cv) of a grid, rows by cv: (values, mask) for 1-D float arrays.
+
+    One broadcast expression, the one asi() evaluates, so each cell is bit-identical
+    to asi(mean, cv). mask is True where mean + cv = 0; those cells divide by 1.0
+    instead of 0. The caller validates the axes; this module does not import numpy.
+    """
+    cv_column = cv_axis[:, None]
+    total = mean_axis + cv_column
+    mask = total == 0.0
+    total[mask] = 1.0
+    return _index(mean_axis, cv_column, total), mask
 
 
 def score(series: AccuracySeries) -> BenchmarkScore:

@@ -1,20 +1,23 @@
 """Accuracy-stability index surface over the (mean accuracy, CV) plane.
 
-Produces grid data for external plotting. Every cell delegates to
-``metrics.asi``; this module holds no metric arithmetic of its own. numpy is
-imported where a grid is built or parsed, so that the CLI can read the
-defaults below without loading it.
+Produces grid data for external plotting. The formula's one source is
+``metrics``: ``metrics.asi_grid`` evaluates the expression ``metrics.asi``
+does, over the whole grid at once, so this module holds no metric arithmetic
+of its own. numpy is imported where a grid is built or parsed, so that the CLI
+can read the defaults below without loading it.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .errors import ParameterError
-from .metrics import asi
+from .metrics import asi_grid
 
 if TYPE_CHECKING:
     import numpy as np
@@ -45,14 +48,19 @@ class SurfaceGrid:
     def __post_init__(self):
         import numpy as np
 
-        for name in ("mean_axis", "cv_axis", "values", "mask"):
-            arr = np.asarray(getattr(self, name))
+        for name, dtype in (("mean_axis", float), ("cv_axis", float), ("values", float),
+                            ("mask", bool)):
+            arr = np.asarray(getattr(self, name), dtype=dtype)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         if self.values.shape != (len(self.cv_axis), len(self.mean_axis)):
             raise ParameterError("values shape must be |cv_axis| x |mean_axis|")
         if self.mask.shape != self.values.shape:
             raise ParameterError("mask shape must match values")
+        # the JSON is strict: no NaN or Infinity token in the axes or an unmasked cell
+        if not (np.isfinite(self.mean_axis).all() and np.isfinite(self.cv_axis).all()
+                and (np.isfinite(self.values) | self.mask).all()):
+            raise ParameterError("grid axes and unmasked values must be finite")
 
 
 def surface_grid(
@@ -67,21 +75,15 @@ def surface_grid(
     if resolution < 2:
         raise ParameterError(f"resolution must be >= 2, got {resolution}")
     for (lo, hi), name in ((mean_range, "mean"), (cv_range, "cv")):
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ParameterError(f"{name} range bounds must be finite, got ({lo}, {hi})")
         if lo < 0.0 or hi <= lo:
             raise ParameterError(f"{name} range must satisfy 0 <= lo < hi, got ({lo}, {hi})")
     import numpy as np
 
     mean_axis = np.linspace(mean_range[0], mean_range[1], resolution)
     cv_axis = np.linspace(cv_range[0], cv_range[1], resolution)
-    values = np.zeros((resolution, resolution))
-    mask = np.zeros((resolution, resolution), dtype=bool)
-    for i, cv in enumerate(cv_axis):
-        for j, mean in enumerate(mean_axis):
-            if mean + cv == 0.0:
-                mask[i, j] = True
-            else:
-                values[i, j] = asi(mean, cv)
-    return SurfaceGrid(mean_axis, cv_axis, values, mask)
+    return SurfaceGrid(mean_axis, cv_axis, *asi_grid(mean_axis, cv_axis))
 
 
 def emit_grid(grid: SurfaceGrid, fmt: str, destination: str | Path) -> None:
@@ -90,27 +92,37 @@ def emit_grid(grid: SurfaceGrid, fmt: str, destination: str | Path) -> None:
     Floats are rendered with shortest round-trip repr, so re-parsing
     reproduces the matrix bit-for-bit.
     """
-    destination = Path(destination)
-    if fmt == "csv":
-        lines = ["mean,cv,asi"]
-        for i, cv in enumerate(grid.cv_axis):
-            for j, mean in enumerate(grid.mean_axis):
-                if not grid.mask[i, j]:
-                    lines.append(f"{float(mean)!r},{float(cv)!r},{float(grid.values[i, j])!r}")
-        destination.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    elif fmt == "json":
-        doc = {
-            "mean_axis": [float(v) for v in grid.mean_axis],
-            "cv_axis": [float(v) for v in grid.cv_axis],
-            "values": [
-                [None if grid.mask[i, j] else float(grid.values[i, j])
-                 for j in range(len(grid.mean_axis))]
-                for i in range(len(grid.cv_axis))
-            ],
-        }
-        destination.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
-    else:
+    if fmt not in ("csv", "json"):
         raise ParameterError(f"unknown grid format {fmt!r}")
+    means = [repr(v) for v in grid.mean_axis.tolist()]
+    cvs = [repr(v) for v in grid.cv_axis.tolist()]
+    rows = zip(cvs, grid.values.tolist(), grid.mask.tolist())
+    with open(destination, "w", encoding="utf-8") as fh:
+        if fmt == "csv":
+            fh.write("mean,cv,asi\n")
+            for cv, values, masked in rows:
+                tail = f",{cv},"
+                fh.write("".join(f"{mean}{tail}{value!r}\n"
+                                 for mean, value, skip in zip(means, values, masked) if not skip))
+        else:
+            # json.dumps(doc, indent=1) + "\n", written a row at a time
+            fh.write(f'{{\n "mean_axis": {_json_array(means, " ")},\n'
+                     f' "cv_axis": {_json_array(cvs, " ")},\n "values": [')
+            sep = "\n  "
+            for _, values, masked in rows:
+                cells = ["null" if skip else repr(value) for value, skip in zip(values, masked)]
+                fh.write(sep + _json_array(cells, "  "))
+                sep = ",\n  "
+            fh.write("\n ]\n}\n" if cvs else "]\n}\n")
+
+
+def _json_array(items: list[str], indent: str) -> str:
+    """A JSON array of rendered items, laid out as json.dumps(indent=1) lays out one
+    that closes at ``indent``."""
+    if not items:
+        return "[]"
+    sep = "\n" + indent + " "
+    return "[" + sep + ("," + sep).join(items) + "\n" + indent + "]"
 
 
 def parse_grid_csv(path: str | Path) -> list[tuple[float, float, float]]:
@@ -146,7 +158,8 @@ import matplotlib.pyplot as plt
 import numpy as np
 
 here = Path(__file__).resolve().parent
-rows = list(csv.DictReader(open(here / {csv_name!r})))
+with open(here / {csv_name!r}, newline="") as fh:
+    rows = list(csv.DictReader(fh))
 mean = np.array([float(r["mean"]) for r in rows])
 cv = np.array([float(r["cv"]) for r in rows])
 value = np.array([float(r["asi"]) for r in rows])
@@ -163,8 +176,8 @@ print("wrote", here / "surface.png")
 
 
 def write_plot_script(csv_path: str | Path, script_path: str | Path) -> None:
-    """Emit a standalone matplotlib script referencing the CSV by relative path."""
-    csv_path, script_path = Path(csv_path), Path(script_path)
-    Path(script_path).write_text(
-        PLOT_SCRIPT.format(csv_name=csv_path.name), encoding="utf-8"
-    )
+    """Emit a standalone matplotlib script that reads the CSV by its path relative to
+    the script's directory."""
+    script_path = Path(script_path)
+    csv_name = Path(os.path.relpath(Path(csv_path).resolve(), script_path.resolve().parent))
+    script_path.write_text(PLOT_SCRIPT.format(csv_name=csv_name.as_posix()), encoding="utf-8")

@@ -718,6 +718,18 @@ class TestSurfaceCommand:
         assert script.is_file()
 
 
+    @pytest.mark.parametrize("option", ["--mean-range", "--cv-range"])
+    @pytest.mark.parametrize("bounds", [("nan", "5"), ("0", "inf")])
+    def test_non_finite_range_exits_1_and_writes_nothing(self, runner, tmp_path, option,
+                                                          bounds):
+        out = tmp_path / "grid.json"
+        result = runner.invoke(main, ["surface", "--out", str(out), "--format", "json",
+                                      option, *bounds])
+        assert result.exit_code == 1
+        name = option[2:].split("-")[0]
+        assert f"error: {name} range bounds must be finite" in result.output
+        assert list(tmp_path.iterdir()) == []
+
     def test_plot_script_with_json_writes_nothing(self, runner, tmp_path):
         out, script = tmp_path / "grid.json", tmp_path / "plot.py"
         result = runner.invoke(main, [

@@ -5,7 +5,8 @@ single output byte. These digests were recorded from the direct, uncached
 implementation; a change here is a change of the corpus every published
 score was measured on. The toy accuracy tables were recorded from the
 evaluate that decoded each image to float64 and took ``np.mean``/``np.std``
-of it; a faster feature path must give the same table, byte for byte.
+of it; a faster feature path must give the same table, byte for byte. The
+surface files were recorded from the per-cell grid and the json.dumps writer.
 """
 
 import hashlib
@@ -17,6 +18,7 @@ from asibench.harness import ToyClassifierAdapter, evaluate, save_accuracy_table
 from asibench.image import Image
 from asibench.perturb import rotate
 from asibench.registry import default_registry, materialize
+from asibench.surface import emit_grid, surface_grid
 from conftest import synthetic_corpus
 
 MANIFEST_SHA256 = "8083d0fd5e862491f3888b4a687eb8f1b5f5434702347e2f229519338c217e4d"
@@ -35,6 +37,20 @@ ROTATE_SHA256 = {
 TOY_TABLE_SHA256 = {
     "gray224": "62b4ba151d641dd2133f2611f6e8b169ea602d99453b437eca6ed4eb70e8bd64",
     "rgb32": "0e25a89578290ae8203383494f6ed884269aa5dfe6e7eda5350786939dbc3ec2",
+}
+
+SURFACE_SHA256 = {
+    # the defaults: mean 0..100, CV 0..25, 51 x 51
+    ("defaults", "csv"): "0257fe9a44d8b609efe114169207e45b1b3d8c21d0245eee501963a068d36087",
+    ("defaults", "json"): "bc522ab480c40f44d77ff599193c49200732b5abe2b349d5e891d6c6ba6a7c18",
+    # a masked origin: mean 0..100, CV 0..10, 11 x 11
+    ("origin", "csv"): "d7772d70dd96c0178ff54469662b0a76e170312969e2fe1ee7a09a09c7115cc3",
+    ("origin", "json"): "e450b3b9df9ceab6ce9fcd7d58c844e8d4f7cf90968b3b931e5cec8f57f68628",
+}
+
+SURFACE_GRIDS = {
+    "defaults": lambda: surface_grid(),
+    "origin": lambda: surface_grid((0.0, 100.0), (0.0, 10.0), 11),
 }
 
 IMAGES = {
@@ -86,3 +102,10 @@ def test_toy_accuracy_table_digest(tmp_path, name):
     table = tmp_path / "acc.csv"
     save_accuracy_table([evaluate(ToyClassifierAdapter(), corpus, "toy")], table)
     assert hashlib.sha256(table.read_bytes()).hexdigest() == TOY_TABLE_SHA256[name]
+
+
+@pytest.mark.parametrize("name,fmt", sorted(SURFACE_SHA256))
+def test_surface_digest(tmp_path, name, fmt):
+    path = tmp_path / f"grid.{fmt}"
+    emit_grid(SURFACE_GRIDS[name](), fmt, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SURFACE_SHA256[name, fmt]

@@ -114,6 +114,13 @@ class TestAsi:
         with pytest.raises(MetricError):
             asi(-1.0, 1.0)
 
+    @pytest.mark.parametrize("mean,cv", [
+        (float("nan"), 1.0), (50.0, float("nan")), (float("inf"), 1.0), (50.0, float("inf")),
+    ])
+    def test_non_finite_inputs_rejected(self, mean, cv):
+        with pytest.raises(MetricError, match="finite"):
+            asi(mean, cv)
+
     @given(
         st.floats(min_value=1e-6, max_value=100.0),
         st.floats(min_value=1e-6, max_value=50.0),

@@ -1,7 +1,10 @@
+import ast
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from asibench.errors import ParameterError
 from asibench.metrics import asi, load_reference_scores
@@ -13,6 +16,14 @@ from asibench.surface import (
     surface_grid,
     write_plot_script,
 )
+
+
+# random finite ranges 0 <= lo < hi; 0.0 is drawn often, so the masked origin shows up
+RANGES = st.lists(st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+                  min_size=2, max_size=2, unique=True).map(lambda b: tuple(sorted(b)))
+RESOLUTIONS = st.integers(min_value=2, max_value=40)
+# bounds near the largest float overflow mean + cv to inf, in asi() and the grid alike
+OVERFLOW_OK = pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 
 
 @pytest.fixture(scope="module")
@@ -58,10 +69,24 @@ class TestSurfaceGrid:
         with pytest.raises(ParameterError):
             surface_grid(cv_range=(-5.0, 5.0))
 
-    def test_delegates_to_metric(self, grid):
-        for i in (1, 4, 9):
-            for j in (0, 5, 10):
-                assert grid.values[i, j] == asi(grid.mean_axis[j], grid.cv_axis[i])
+    @pytest.mark.parametrize("bound", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("name", ["mean", "cv"])
+    def test_non_finite_bound_rejected(self, name, bound):
+        for lo, hi in ((bound, 5.0), (0.0, bound)):
+            with pytest.raises(ParameterError, match=f"{name} range bounds must be finite"):
+                surface_grid(**{f"{name}_range": (lo, hi)})
+
+    @given(RANGES, RANGES, RESOLUTIONS)
+    @settings(max_examples=200, deadline=None)
+    @OVERFLOW_OK
+    def test_cells_are_the_scalar_metric(self, mean_range, cv_range, resolution):
+        g = surface_grid(mean_range, cv_range, resolution)
+        means, cvs = g.mean_axis.tolist(), g.cv_axis.tolist()
+        assert g.mask.tolist() == [[m + c == 0.0 for m in means] for c in cvs]
+        expected = [[None if m + c == 0.0 else asi(m, c).hex() for m in means] for c in cvs]
+        got = [[None if masked else v.hex() for v, masked in zip(row, mask_row)]
+               for row, mask_row in zip(g.values.tolist(), g.mask.tolist())]
+        assert got == expected  # bit for bit
 
 
 class TestQueryMode:
@@ -105,9 +130,46 @@ class TestEmission:
         assert lines[0] == "mean,cv,asi"
         assert len(lines) == 1 + 4
 
+    @given(RANGES, RANGES, RESOLUTIONS)
+    @settings(max_examples=100, deadline=None)
+    @OVERFLOW_OK
+    def test_bytes_equal_the_reference_rendering(self, tmp_path_factory, mean_range, cv_range,
+                                                 resolution):
+        g = surface_grid(mean_range, cv_range, resolution)
+        d = tmp_path_factory.mktemp("grid")
+        emit_grid(g, "csv", d / "g.csv")
+        emit_grid(g, "json", d / "g.json")
+        # the per-cell rendering and json.dumps that the row-wise writer replaced
+        lines = ["mean,cv,asi"]
+        for i, cv in enumerate(g.cv_axis):
+            for j, mean in enumerate(g.mean_axis):
+                if not g.mask[i, j]:
+                    lines.append(f"{float(mean)!r},{float(cv)!r},{float(g.values[i, j])!r}")
+        assert (d / "g.csv").read_text() == "\n".join(lines) + "\n"
+        doc = {
+            "mean_axis": g.mean_axis.tolist(),
+            "cv_axis": g.cv_axis.tolist(),
+            "values": [[None if masked else v for v, masked in zip(row, mask_row)]
+                       for row, mask_row in zip(g.values.tolist(), g.mask.tolist())],
+        }
+        assert (d / "g.json").read_text() == json.dumps(doc, indent=1) + "\n"
+
+    def test_json_of_empty_axes_equals_json_dumps(self, tmp_path):
+        g = SurfaceGrid([0.0, 1.0], [], np.zeros((0, 2)), np.zeros((0, 2), dtype=bool))
+        emit_grid(g, "json", tmp_path / "g.json")
+        doc = {"mean_axis": [0.0, 1.0], "cv_axis": [], "values": []}
+        assert (tmp_path / "g.json").read_text() == json.dumps(doc, indent=1) + "\n"
+
+    def test_non_finite_cell_rejected(self):
+        with pytest.raises(ParameterError, match="finite"):
+            SurfaceGrid([0.0, 1.0], [0.0], [[0.5, float("nan")]], [[False, False]])
+        # a masked cell is never emitted
+        SurfaceGrid([0.0, 1.0], [0.0], [[float("nan"), 1.0]], [[True, False]])
+
     def test_unknown_format_rejected(self, tmp_path, grid):
         with pytest.raises(ParameterError):
             emit_grid(grid, "xml", tmp_path / "g.xml")
+        assert not (tmp_path / "g.xml").exists()
 
     def test_plot_script_references_csv(self, tmp_path, grid):
         csv_path = tmp_path / "grid.csv"
@@ -115,5 +177,20 @@ class TestEmission:
         script = tmp_path / "plot.py"
         write_plot_script(csv_path, script)
         text = script.read_text()
-        assert "grid.csv" in text
+        assert "with open(here / 'grid.csv', newline=\"\") as fh:" in text
         compile(text, str(script), "exec")  # syntactically valid
+
+    @pytest.mark.parametrize("csv_rel,script_rel", [
+        ("out/grid.csv", "plot.py"),
+        ("grid.csv", "scripts/plot.py"),
+        ("a/grid.csv", "b/c/plot.py"),
+    ])
+    def test_plot_script_finds_csv_in_another_directory(self, tmp_path, grid, csv_rel,
+                                                         script_rel):
+        csv_path, script = tmp_path / csv_rel, tmp_path / script_rel
+        csv_path.parent.mkdir(parents=True, exist_ok=True)
+        script.parent.mkdir(parents=True, exist_ok=True)
+        emit_grid(grid, "csv", csv_path)
+        write_plot_script(csv_path, script)
+        name = ast.literal_eval(re.search(r"open\(here / ('[^']*')", script.read_text())[1])
+        assert (script.parent / name).resolve() == csv_path.resolve()
