@@ -18,10 +18,10 @@ _PUBLIC = {
     "registry": [
         "Condition", "ConditionRegistry", "default_registry", "load_registry", "materialize",
     ],
-    "harness": ["AccuracySeries", "evaluate", "load_accuracy_table"],
+    "harness": ["evaluate"],
     "metrics": [
-        "BenchmarkScore", "RelativeDelta", "mean_accuracy", "coefficient_of_variation",
-        "asi", "score", "compare",
+        "AccuracySeries", "load_accuracy_table", "BenchmarkScore", "RelativeDelta",
+        "mean_accuracy", "coefficient_of_variation", "asi", "score", "compare",
     ],
     "surface": ["SurfaceGrid", "surface_grid", "emit_grid"],
 }

@@ -17,7 +17,7 @@ from pathlib import Path
 import click
 
 # harness, registry and image load numpy: the commands that use them import them
-# when they run, so that --help, report and compare start without it
+# when they run, so that --help, score, report and compare start without it
 from . import metrics, surface, tables
 from .errors import BenchmarkError, ParameterError
 
@@ -135,7 +135,7 @@ def cmd_evaluate(corpus_dir, adapter_spec, classifier_id, out_path):
         series = harness.evaluate(adapter, corpus_dir, classifier_id=classifier_id)
     finally:
         adapter.close()
-    harness.save_accuracy_table([series], out_path)
+    metrics.save_accuracy_table([series], out_path)
     click.echo(f"wrote accuracy table for {classifier_id} ({len(series.entries)} conditions)")
 
 
@@ -158,10 +158,12 @@ def _write_score_table(rows, out):
 @_guard
 def cmd_score(table_path, out_path):
     """Score each classifier in an accuracy table (mean, CV, index)."""
-    from . import harness
-
-    series_list = harness.load_accuracy_table_file(table_path)
-    rows = [metrics.score(s) for s in sorted(series_list, key=lambda s: s.classifier_id)]
+    series_list = metrics.load_accuracy_table(table_path)
+    for s in series_list:
+        if max(s.accuracies()) <= 1.0:
+            click.echo(f"warning: classifier {s.classifier_id!r}: every accuracy is <= 1, "
+                       "but accuracies are percent (0-100), not fractions", err=True)
+    rows = [metrics.score(s) for s in series_list]
     if out_path is None:
         _write_score_table(rows, sys.stdout)
     else:
@@ -173,7 +175,7 @@ def cmd_score(table_path, out_path):
 def _score(cid: str, cv: float, mean: float, asi: float) -> metrics.BenchmarkScore:
     """One score-table row; ``asi`` is the table's own 3-dp cell, which the verdict orders by."""
     return metrics.BenchmarkScore(
-        classifier_id=cid, mean_accuracy_percent=mean, cv_percent=cv, asi=asi, n_conditions=0
+        classifier_id=cid, mean_accuracy_percent=mean, cv_percent=cv, asi=asi
     )
 
 

@@ -3,62 +3,32 @@
 A classifier attaches through one of three adapters: the built-in toy
 nearest-centroid classifier, a line-protocol subprocess, or a precomputed
 predictions file. ``evaluate`` walks a materialized corpus and reports
-accuracy per condition; ``load_accuracy_table`` ingests published numbers
-instead.
+accuracy per condition as a ``metrics.AccuracySeries``.
 """
 
 from __future__ import annotations
 
-import csv
 import os
 import shlex
 import subprocess
 import threading
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import tables
 from .errors import AdapterError, ParameterError
-# read_netpbm stays importable from here: perfbench/tracing.py wraps it under this module's name
-from .image import decode_netpbm, read_netpbm  # noqa: F401
+from .image import decode_netpbm
+from .metrics import AccuracySeries
 from .registry import ManifestEntry, read_manifest, verified_files, verify_manifest
 
 __all__ = [
-    "AccuracySeries",
     "ToyClassifierAdapter",
     "SubprocessAdapter",
     "PredictionsFileAdapter",
     "make_adapter",
     "evaluate",
-    "load_accuracy_table",
-    "save_accuracy_table",
 ]
-
-
-@dataclass(frozen=True)
-class AccuracySeries:
-    classifier_id: str
-    entries: tuple[tuple[int, float], ...]  # (condition_id, accuracy %) ascending
-
-    def __post_init__(self):
-        entries = tuple((int(c), float(a)) for c, a in self.entries)
-        object.__setattr__(self, "entries", entries)
-        ids = [c for c, _ in entries]
-        if ids != sorted(set(ids)):
-            raise ParameterError(
-                f"series {self.classifier_id!r}: condition ids must be unique and ascending"
-            )
-        for c, a in entries:
-            if not 0.0 <= a <= 100.0:
-                raise ParameterError(
-                    f"series {self.classifier_id!r}: accuracy {a} for condition {c} "
-                    "outside [0, 100]"
-                )
-
-    def accuracies(self) -> list[float]:
-        return [a for _, a in self.entries]
 
 
 class ToyClassifierAdapter:
@@ -365,47 +335,3 @@ def evaluate(adapter, corpus_dir: str | Path, classifier_id: str = "classifier")
         classifier_id,
         tuple((c, 100.0 * correct[c] / len(by_condition[c])) for c in cond_ids),
     )
-
-
-ACCURACY_TABLE_HEADER = ["classifier", "condition", "accuracy"]
-
-
-def load_accuracy_table(text: str) -> list[AccuracySeries]:
-    """Parse a ``classifier,condition,accuracy`` CSV into one series per classifier."""
-    if not text.strip():
-        return []
-    per_classifier: dict[str, dict[int, float]] = {}
-    lines = text.splitlines()
-    for where, row in tables.rows(lines, ACCURACY_TABLE_HEADER, "accuracy table", ParameterError):
-        clf = row["classifier"]
-        try:
-            cond = int(row["condition"])
-            acc = float(row["accuracy"])
-        except ValueError:
-            raise ParameterError(f"{where}: malformed record {row}") from None
-        if not 0.0 <= acc <= 100.0:
-            raise ParameterError(f"{where}: accuracy {acc} outside [0, 100]")
-        series = per_classifier.setdefault(clf, {})
-        if cond in series:
-            raise ParameterError(f"{where}: duplicate ({clf}, {cond}) pair")
-        series[cond] = acc
-    return [
-        AccuracySeries(clf, tuple(sorted(conds.items())))
-        for clf, conds in sorted(per_classifier.items())
-    ]
-
-
-def load_accuracy_table_file(path: str | Path) -> list[AccuracySeries]:
-    try:
-        return load_accuracy_table(Path(path).read_text(encoding="utf-8"))
-    except ParameterError as exc:
-        raise ParameterError(f"{path}: {exc}") from None
-
-
-def save_accuracy_table(series_list: list[AccuracySeries], path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(ACCURACY_TABLE_HEADER)
-        for series in sorted(series_list, key=lambda s: s.classifier_id):
-            for cond, acc in series.entries:
-                writer.writerow([series.classifier_id, cond, repr(acc)])

@@ -1,24 +1,27 @@
-"""Scoring core: mean accuracy, coefficient of variation, the
-accuracy-stability index, and pairwise relative comparisons.
+"""Scoring core: per-condition accuracy series and their table, mean accuracy,
+coefficient of variation, the accuracy-stability index, and pairwise
+relative comparisons.
 
 All arithmetic is full-precision IEEE double; rounding to table precision
-happens only when reports are rendered.
+happens only when reports are rendered. This module imports no numpy.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
 from importlib import resources
-from typing import TYPE_CHECKING, Sequence
+from pathlib import Path
+from typing import Sequence
 
 from . import tables
-from .errors import MetricError
-
-if TYPE_CHECKING:
-    from .harness import AccuracySeries
+from .errors import MetricError, ParameterError
 
 __all__ = [
+    "AccuracySeries",
+    "load_accuracy_table",
+    "save_accuracy_table",
     "BenchmarkScore",
     "RelativeDelta",
     "FixtureRow",
@@ -33,12 +36,71 @@ __all__ = [
 
 
 @dataclass(frozen=True)
+class AccuracySeries:
+    classifier_id: str
+    entries: tuple[tuple[int, float], ...]  # (condition_id, accuracy %) ascending
+
+    def __post_init__(self):
+        entries = tuple((int(c), float(a)) for c, a in self.entries)
+        object.__setattr__(self, "entries", entries)
+        ids = [c for c, _ in entries]
+        if ids != sorted(set(ids)):
+            raise ParameterError(
+                f"series {self.classifier_id!r}: condition ids must be unique and ascending"
+            )
+        for c, a in entries:
+            if not 0.0 <= a <= 100.0:
+                raise ParameterError(
+                    f"series {self.classifier_id!r}: accuracy {a} for condition {c} "
+                    "outside [0, 100]"
+                )
+
+    def accuracies(self) -> list[float]:
+        return [a for _, a in self.entries]
+
+
+ACCURACY_TABLE_HEADER = ["classifier", "condition", "accuracy"]
+
+
+def load_accuracy_table(path: str | Path) -> list[AccuracySeries]:
+    """Read a ``classifier,condition,accuracy`` CSV into one series per classifier."""
+    per_classifier: dict[str, dict[int, float]] = {}
+    name = f"{path}: accuracy table"
+    with open(path, newline="", encoding="utf-8") as fh:
+        for where, row in tables.rows(fh, ACCURACY_TABLE_HEADER, name, ParameterError):
+            clf = row["classifier"]
+            try:
+                cond = int(row["condition"])
+                acc = float(row["accuracy"])
+            except ValueError:
+                raise ParameterError(f"{where}: malformed record {row}") from None
+            if not 0.0 <= acc <= 100.0:
+                raise ParameterError(f"{where}: accuracy {acc} outside [0, 100]")
+            series = per_classifier.setdefault(clf, {})
+            if cond in series:
+                raise ParameterError(f"{where}: duplicate ({clf}, {cond}) pair")
+            series[cond] = acc
+    return [
+        AccuracySeries(clf, tuple(sorted(conds.items())))
+        for clf, conds in sorted(per_classifier.items())
+    ]
+
+
+def save_accuracy_table(series_list: list[AccuracySeries], path: str | Path) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(ACCURACY_TABLE_HEADER)
+        for series in sorted(series_list, key=lambda s: s.classifier_id):
+            for cond, acc in series.entries:
+                writer.writerow([series.classifier_id, cond, repr(acc)])
+
+
+@dataclass(frozen=True)
 class BenchmarkScore:
     classifier_id: str
     mean_accuracy_percent: float
     cv_percent: float
     asi: float
-    n_conditions: int
 
 
 @dataclass(frozen=True)
@@ -81,7 +143,8 @@ def _index(mean, cv, total):
 
 
 def asi(mean: float, cv: float) -> float:
-    """(mean - cv) / (mean + cv), defined only for finite mean, cv >= 0 with mean + cv > 0."""
+    """(mean - cv) / (mean + cv), defined only for finite mean, cv >= 0 with mean + cv
+    finite and > 0."""
     if not (math.isfinite(mean) and math.isfinite(cv)):
         raise MetricError(f"mean and cv must be finite, got {mean}, {cv}")
     if mean < 0.0 or cv < 0.0:
@@ -89,6 +152,8 @@ def asi(mean: float, cv: float) -> float:
     total = mean + cv
     if total == 0.0:
         raise MetricError("ASI is undefined when mean + cv = 0")
+    if math.isinf(total):
+        raise MetricError(f"mean + cv must be finite, got {mean} + {cv}")
     return _index(mean, cv, total)
 
 
@@ -97,7 +162,8 @@ def asi_grid(mean_axis, cv_axis):
 
     One broadcast expression, the one asi() evaluates, so each cell is bit-identical
     to asi(mean, cv). mask is True where mean + cv = 0; those cells divide by 1.0
-    instead of 0. The caller validates the axes; this module does not import numpy.
+    instead of 0. The caller validates the axes, so that no mean + cv overflows; this
+    module does not import numpy.
     """
     cv_column = cv_axis[:, None]
     total = mean_axis + cv_column
@@ -115,7 +181,6 @@ def score(series: AccuracySeries) -> BenchmarkScore:
         mean_accuracy_percent=mean,
         cv_percent=cv,
         asi=asi(mean, cv),
-        n_conditions=len(series.entries),
     )
 
 

@@ -3,13 +3,12 @@
 Produces grid data for external plotting. The formula's one source is
 ``metrics``: ``metrics.asi_grid`` evaluates the expression ``metrics.asi``
 does, over the whole grid at once, so this module holds no metric arithmetic
-of its own. numpy is imported where a grid is built or parsed, so that the CLI
-can read the defaults below without loading it.
+of its own. numpy is imported where a grid is built, so that the CLI can read
+the defaults below without loading it.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass
@@ -26,8 +25,6 @@ __all__ = [
     "SurfaceGrid",
     "surface_grid",
     "emit_grid",
-    "parse_grid_csv",
-    "parse_grid_json",
     "write_plot_script",
     "DEFAULT_MEAN_RANGE",
     "DEFAULT_CV_RANGE",
@@ -70,7 +67,8 @@ def surface_grid(
 ) -> SurfaceGrid:
     """Uniformly sample asi(mean, cv) over the given ranges.
 
-    Cells where mean + cv = 0 are masked rather than evaluated.
+    Cells where mean + cv = 0 are masked rather than evaluated. Ranges whose upper
+    bounds sum past the largest float are rejected: the index would overflow there.
     """
     if resolution < 2:
         raise ParameterError(f"resolution must be >= 2, got {resolution}")
@@ -79,10 +77,17 @@ def surface_grid(
             raise ParameterError(f"{name} range bounds must be finite, got ({lo}, {hi})")
         if lo < 0.0 or hi <= lo:
             raise ParameterError(f"{name} range must satisfy 0 <= lo < hi, got ({lo}, {hi})")
+    if math.isinf(mean_range[1] + cv_range[1]):
+        raise ParameterError(
+            f"mean + cv overflows at the upper bounds {mean_range[1]} and {cv_range[1]}"
+        )
     import numpy as np
 
-    mean_axis = np.linspace(mean_range[0], mean_range[1], resolution)
-    cv_axis = np.linspace(cv_range[0], cv_range[1], resolution)
+    # near the largest float, linspace's (resolution - 1) * step can round past it at the
+    # last point, which linspace then sets to the bound itself: no axis value overflows
+    with np.errstate(over="ignore"):
+        mean_axis = np.linspace(mean_range[0], mean_range[1], resolution)
+        cv_axis = np.linspace(cv_range[0], cv_range[1], resolution)
     return SurfaceGrid(mean_axis, cv_axis, *asi_grid(mean_axis, cv_axis))
 
 
@@ -123,29 +128,6 @@ def _json_array(items: list[str], indent: str) -> str:
         return "[]"
     sep = "\n" + indent + " "
     return "[" + sep + ("," + sep).join(items) + "\n" + indent + "]"
-
-
-def parse_grid_csv(path: str | Path) -> list[tuple[float, float, float]]:
-    """Read a long-form grid CSV back as (mean, cv, asi) triples."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != "mean,cv,asi":
-        raise ParameterError(f"{path}: expected 'mean,cv,asi' header")
-    out = []
-    for line in lines[1:]:
-        mean, cv, value = line.split(",")
-        out.append((float(mean), float(cv), float(value)))
-    return out
-
-
-def parse_grid_json(path: str | Path) -> SurfaceGrid:
-    import numpy as np
-
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    values = np.array(
-        [[0.0 if v is None else v for v in row] for row in doc["values"]]
-    )
-    mask = np.array([[v is None for v in row] for row in doc["values"]])
-    return SurfaceGrid(np.array(doc["mean_axis"]), np.array(doc["cv_axis"]), values, mask)
 
 
 PLOT_SCRIPT = """\

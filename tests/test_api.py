@@ -120,11 +120,15 @@ print(json.dumps({"after_import": after_import, "codes": codes,
 def test_the_cli_and_its_light_commands_load_no_numpy(tmp_path):
     scores = tmp_path / "scores.csv"
     scores.write_text("classifier,cv,mean,asi\na,2.276,85.250,0.948\nb,3.000,80.000,0.900\n")
+    table = tmp_path / "acc.csv"
+    table.write_text("classifier,condition,accuracy\na,0,90.0\na,1,80.0\nb,0,70.0\n")
     commands = [
         ["--help"],
         ["report", "--scores", str(scores)],
         ["compare", "--reference", "R4", "R8"],
         ["compare", "--scores", str(scores), "a", "b"],
+        ["score", "--table", str(table)],
+        ["score", "--table", str(table), "--out", str(tmp_path / "out.csv")],
     ]
     src = str(Path(asibench.__file__).parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
@@ -134,5 +138,6 @@ def test_the_cli_and_its_light_commands_load_no_numpy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {
-        "after_import": [], "codes": [0, 0, 0, 0], "after_commands": [], "misplaced": [],
+        "after_import": [], "codes": [0] * len(commands), "after_commands": [],
+        "misplaced": [],
     }

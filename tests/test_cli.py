@@ -589,6 +589,18 @@ class TestEvaluateAndScore:
         assert isinstance(result.exception, SystemExit)
         assert f"error: {table}: accuracy table: line 3: expected 3 fields" in result.output
 
+    def test_score_warns_once_per_series_of_fractions(self, runner, tmp_path):
+        table = tmp_path / "acc.csv"
+        table.write_text("classifier,condition,accuracy\n"
+                         "frac,0,0.9\nfrac,1,1.0\npct,0,90.0\npct,1,100.0\n")
+        result = runner.invoke(main, ["score", "--table", str(table)])
+        assert result.exit_code == 0
+        assert result.stderr == ("warning: classifier 'frac': every accuracy is <= 1, "
+                                 "but accuracies are percent (0-100), not fractions\n")
+        # the score rows are what the numbers give, as without the warning
+        assert result.stdout == ("classifier,cv,mean,asi\n"
+                                 "frac,5.263,0.950,-0.694\npct,5.263,95.000,0.895\n")
+
 
 class TestCompare:
     def test_published_rows(self, runner):
@@ -728,6 +740,14 @@ class TestSurfaceCommand:
         assert result.exit_code == 1
         name = option[2:].split("-")[0]
         assert f"error: {name} range bounds must be finite" in result.output
+        assert list(tmp_path.iterdir()) == []
+
+    def test_overflowing_ranges_exit_1_and_write_nothing(self, runner, tmp_path):
+        out = tmp_path / "grid.csv"
+        result = runner.invoke(main, ["surface", "--out", str(out),
+                                      "--mean-range", "0", "1.5e308", "--cv-range", "0", "0.5e308"])
+        assert result.exit_code == 1
+        assert "error: mean + cv overflows at the upper bounds" in result.output
         assert list(tmp_path.iterdir()) == []
 
     def test_plot_script_with_json_writes_nothing(self, runner, tmp_path):

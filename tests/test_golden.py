@@ -14,8 +14,9 @@ import hashlib
 import numpy as np
 import pytest
 
-from asibench.harness import ToyClassifierAdapter, evaluate, save_accuracy_table
+from asibench.harness import ToyClassifierAdapter, evaluate
 from asibench.image import Image
+from asibench.metrics import save_accuracy_table
 from asibench.perturb import rotate
 from asibench.registry import default_registry, materialize
 from asibench.surface import emit_grid, surface_grid

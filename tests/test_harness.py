@@ -15,15 +15,11 @@ from asibench import harness
 from asibench.errors import AdapterError, ManifestError, ParameterError
 from asibench.image import Image, netpbm_bytes
 from asibench.harness import (
-    AccuracySeries,
     PredictionsFileAdapter,
     SubprocessAdapter,
     ToyClassifierAdapter,
     evaluate,
-    load_accuracy_table,
     make_adapter,
-    save_accuracy_table,
-    load_accuracy_table_file,
 )
 from asibench.registry import materialize, read_manifest
 from test_registry import tiny_registry
@@ -49,22 +45,6 @@ class FixedAdapter:
 def corpus(tmp_path, small_corpus):
     materialize(small_corpus, tiny_registry(), 5, tmp_path)
     return tmp_path
-
-
-class TestAccuracySeries:
-    def test_valid(self):
-        s = AccuracySeries("m", ((0, 100.0), (1, 50.0)))
-        assert s.accuracies() == [100.0, 50.0]
-
-    def test_rejects_unsorted_or_duplicate_ids(self):
-        with pytest.raises(ParameterError):
-            AccuracySeries("m", ((1, 50.0), (0, 100.0)))
-        with pytest.raises(ParameterError):
-            AccuracySeries("m", ((0, 50.0), (0, 100.0)))
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ParameterError):
-            AccuracySeries("m", ((0, 104.2),))
 
 
 class TestEvaluate:
@@ -500,38 +480,3 @@ class TestMakeAdapter:
         assert isinstance(make_adapter(f"file:{pred}"), PredictionsFileAdapter)
         with pytest.raises(ParameterError):
             make_adapter("quantum")
-
-
-class TestAccuracyTable:
-    def test_round_trip(self, tmp_path):
-        series = [
-            AccuracySeries("b", ((0, 100.0), (1, 87.5))),
-            AccuracySeries("a", ((0, 90.0),)),
-        ]
-        path = tmp_path / "table.csv"
-        save_accuracy_table(series, path)
-        back = load_accuracy_table_file(path)
-        assert [s.classifier_id for s in back] == ["a", "b"]
-        assert dict(back[1].entries) == {0: 100.0, 1: 87.5}
-
-    def test_two_classifiers_69_conditions(self):
-        lines = ["classifier,condition,accuracy"]
-        for clf in ("m1", "m2"):
-            for c in range(69):
-                lines.append(f"{clf},{c},85.0")
-        result = load_accuracy_table("\n".join(lines))
-        assert len(result) == 2
-        assert all(len(s.entries) == 69 for s in result)
-
-    def test_out_of_range_accuracy_names_row(self):
-        text = "classifier,condition,accuracy\nm,0,104.2\n"
-        with pytest.raises(ParameterError, match="104.2"):
-            load_accuracy_table(text)
-
-    def test_duplicate_pair_rejected(self):
-        text = "classifier,condition,accuracy\nm,0,50\nm,0,60\n"
-        with pytest.raises(ParameterError, match="duplicate"):
-            load_accuracy_table(text)
-
-    def test_empty_document_gives_empty_list(self):
-        assert load_accuracy_table("") == []

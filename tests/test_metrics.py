@@ -1,17 +1,21 @@
+import itertools
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from asibench.errors import MetricError
-from asibench.harness import AccuracySeries
+from asibench.errors import MetricError, ParameterError
 from asibench.metrics import (
+    AccuracySeries,
     BenchmarkScore,
     asi,
     coefficient_of_variation,
     compare,
+    load_accuracy_table,
     load_reference_scores,
     mean_accuracy,
+    save_accuracy_table,
     score,
 )
 
@@ -116,6 +120,8 @@ class TestAsi:
 
     @pytest.mark.parametrize("mean,cv", [
         (float("nan"), 1.0), (50.0, float("nan")), (float("inf"), 1.0), (50.0, float("inf")),
+        # finite inputs whose sum overflows: (mean - cv) / inf would read 0.0, not +-0.5
+        (1.5e308, 0.5e308), (0.5e308, 1.5e308),
     ])
     def test_non_finite_inputs_rejected(self, mean, cv):
         with pytest.raises(MetricError, match="finite"):
@@ -149,13 +155,68 @@ class TestAsi:
         assert abs(asi(k * mean, k * cv) - asi(mean, cv)) <= 1e-12
 
 
+class TestAccuracySeries:
+    def test_valid(self):
+        s = AccuracySeries("m", ((0, 100.0), (1, 50.0)))
+        assert s.accuracies() == [100.0, 50.0]
+
+    def test_rejects_unsorted_or_duplicate_ids(self):
+        with pytest.raises(ParameterError):
+            AccuracySeries("m", ((1, 50.0), (0, 100.0)))
+        with pytest.raises(ParameterError):
+            AccuracySeries("m", ((0, 50.0), (0, 100.0)))
+
+    def test_rejects_out_of_range(self):
+        with pytest.raises(ParameterError):
+            AccuracySeries("m", ((0, 104.2),))
+
+
+def write_table(tmp_path, text):
+    path = tmp_path / "table.csv"
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+class TestAccuracyTable:
+    def test_round_trip(self, tmp_path):
+        series = [
+            AccuracySeries("b", ((0, 100.0), (1, 87.5))),
+            AccuracySeries("a", ((0, 90.0),)),
+        ]
+        path = tmp_path / "table.csv"
+        save_accuracy_table(series, path)
+        back = load_accuracy_table(path)
+        assert [s.classifier_id for s in back] == ["a", "b"]
+        assert dict(back[1].entries) == {0: 100.0, 1: 87.5}
+
+    def test_two_classifiers_69_conditions(self, tmp_path):
+        lines = ["classifier,condition,accuracy"]
+        for clf in ("m1", "m2"):
+            for c in range(69):
+                lines.append(f"{clf},{c},85.0")
+        result = load_accuracy_table(write_table(tmp_path, "\n".join(lines)))
+        assert len(result) == 2
+        assert all(len(s.entries) == 69 for s in result)
+
+    def test_out_of_range_accuracy_names_row(self, tmp_path):
+        path = write_table(tmp_path, "classifier,condition,accuracy\nm,0,104.2\n")
+        with pytest.raises(ParameterError, match="104.2"):
+            load_accuracy_table(path)
+
+    def test_duplicate_pair_rejected(self, tmp_path):
+        path = write_table(tmp_path, "classifier,condition,accuracy\nm,0,50\nm,0,60\n")
+        with pytest.raises(ParameterError, match="duplicate"):
+            load_accuracy_table(path)
+
+
 class TestScore:
     def test_perfect_classifier(self):
-        s = score(AccuracySeries("perfect", tuple((c, 100.0) for c in range(69))))
+        series = AccuracySeries("perfect", tuple((c, 100.0) for c in range(69)))
+        s = score(series)
         assert s.mean_accuracy_percent == 100.0
         assert s.cv_percent == 0.0
         assert s.asi == 1.0
-        assert s.n_conditions == 69
+        assert len(series.entries) == 69
 
     def test_composition_of_hand_oracles(self):
         s = score(AccuracySeries("m", ((0, 80.0), (1, 90.0), (2, 100.0))))
@@ -201,7 +262,7 @@ class TestScore:
 
 
 def _score(cv, mean, name="x"):
-    return BenchmarkScore(name, mean, cv, asi(mean, cv), 69)
+    return BenchmarkScore(name, mean, cv, asi(mean, cv))
 
 
 class TestCompare:
@@ -231,7 +292,7 @@ class TestCompare:
     def test_zero_baseline_rejected(self):
         good = _score(1.0, 90.0)
         with pytest.raises(MetricError):
-            compare(BenchmarkScore("z", 90.0, 0.0, 1.0, 69), good)
+            compare(BenchmarkScore("z", 90.0, 0.0, 1.0), good)
 
 
 class TestReferenceFixture:
@@ -241,3 +302,21 @@ class TestReferenceFixture:
     def test_all_rows_consistent(self):
         for row in load_reference_scores():
             assert abs(asi(row.mean, row.cv) - row.asi) <= 0.001, row
+
+    def test_asi_order_against_the_cv_and_mean_orders(self):
+        # the counts "What ASI ranks by" in the README states: a pair contradicts an
+        # order when ASI, recomputed from the 3-dp mean and CV cells, ranks it the
+        # other way round, both orders strict
+        rows = load_reference_scores()
+        sign = lambda x: (x > 0) - (x < 0)
+        pairs = cv_against = mean_against = 0
+        for a, b in itertools.combinations(rows, 2):
+            pairs += 1
+            by_asi = sign(asi(a.mean, a.cv) - asi(b.mean, b.cv))
+            cv_against += by_asi != 0 and sign(b.cv - a.cv) == -by_asi
+            mean_against += by_asi != 0 and sign(a.mean - b.mean) == -by_asi
+        assert (pairs, cv_against, mean_against) == (2775, 30, 1270)
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text("utf-8")
+        readme = " ".join(readme.split())  # the prose as one line
+        assert "the CV order in 30 of the 2,775 pairs" in readme
+        assert "the mean order in 1,270" in readme

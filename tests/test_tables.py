@@ -40,14 +40,15 @@ READERS = {
     "predictions": ("pred.csv", "path,label", ["a.pgm,dark", "b.pgm,mid"],
                     read_predictions, ParameterError),
     "accuracy table": ("acc.csv", "classifier,condition,accuracy", ["m,0,90.0", "m,1,80.0"],
-                       lambda path, _: harness.load_accuracy_table_file(path), ParameterError),
+                       lambda path, _: metrics.load_accuracy_table(path), ParameterError),
     "reference scores": ("reference_scores.csv", "row_id,condition_label,classifier,cv,mean,asi",
                          ["1,clean,A,2.276,85.250,0.948", "2,noise,B,1.246,89.970,0.973"],
                          read_reference, MetricError),
 }
 
 
-@pytest.mark.parametrize("damage", ["blank line", "missing field", "extra field", "header"])
+@pytest.mark.parametrize("damage", ["blank line", "missing field", "extra field", "header",
+                                    "empty file"])
 @pytest.mark.parametrize("table", list(READERS))
 def test_every_reader_applies_the_shared_row_rules(tmp_path, monkeypatch, table, damage):
     name, header, rows, read, error = READERS[table]
@@ -61,9 +62,11 @@ def test_every_reader_applies_the_shared_row_rules(tmp_path, monkeypatch, table,
         lines = [header, rows[0], rows[1].rsplit(",", 1)[0]]
     elif damage == "extra field":
         lines = [header, rows[0], rows[1] + ",x"]
-    else:
+    elif damage == "header":
         lines = [header.replace(",", ";")] + rows
-    path.write_text("\n".join(lines) + "\n")
+    else:
+        lines = []
+    path.write_text("".join(line + "\n" for line in lines))
     if damage == "blank line":
         assert read(path, monkeypatch) == whole
         return
@@ -71,5 +74,7 @@ def test_every_reader_applies_the_shared_row_rules(tmp_path, monkeypatch, table,
         read(path, monkeypatch)
     assert type(caught.value) is error
     assert str(path) in str(caught.value)
-    if damage != "header":
+    if damage in ("header", "empty file"):
+        assert f"header must be {header!r}" in str(caught.value)
+    else:
         assert f"line 3: expected {fields} fields" in str(caught.value)
