@@ -97,6 +97,8 @@ def main():
 @_guard
 def cmd_perturb(corpus_dir, registry_path, seed, group_size, out_dir, jobs):
     """Materialize one image group per registry condition."""
+    import numpy
+
     from . import registry
 
     if group_size is not None and group_size < 1:
@@ -114,6 +116,7 @@ def cmd_perturb(corpus_dir, registry_path, seed, group_size, out_dir, jobs):
         "seed": seed,
         "group_size": len(clean),
         "jobs": jobs,
+        "numpy": numpy.__version__,  # the noise kernels draw through its Generator methods
     })
     click.echo(f"wrote {len(entries)} images in {len(reg.conditions)} groups to {out_dir}")
 
@@ -159,6 +162,10 @@ def _write_score_table(rows, out):
 def cmd_score(table_path, out_path):
     """Score each classifier in an accuracy table (mean, CV, index)."""
     series_list = metrics.load_accuracy_table(table_path)
+    for s in series_list:
+        if max(s.accuracies()) == 0.0:
+            raise ParameterError(f"{table_path}: classifier {s.classifier_id!r}: CV is undefined "
+                                 "for zero mean (every accuracy is 0)")
     for s in series_list:
         if max(s.accuracies()) <= 1.0:
             click.echo(f"warning: classifier {s.classifier_id!r}: every accuracy is <= 1, "

@@ -8,6 +8,7 @@ accuracy per condition as a ``metrics.AccuracySeries``.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import shlex
 import subprocess
@@ -299,12 +300,14 @@ def evaluate(adapter, corpus_dir: str | Path, classifier_id: str = "classifier")
     path until every file is verified. An adapter with a
     ``prepare(root, files)`` method gets the resolved corpus root and a stream
     of ``(manifest entry, file bytes)`` pairs in manifest order, each file read
-    once and yielded only after its bytes match its checksum; whatever the
-    hook leaves unread is verified after it returns. An adapter without one
-    has the manifest verified from the paths alone. The adapter then gets one
-    ``predict_files`` call with every image path, each the manifest path under
-    the resolved corpus root, by condition id and then in manifest order. Any
-    non-matching response, including an empty one, counts as incorrect.
+    once, ahead of the hook on a background thread, and yielded only after its
+    bytes match its checksum; whatever the hook leaves unread is verified after
+    it returns, and the thread has ended when ``evaluate`` returns or raises.
+    An adapter without one has the manifest verified from the paths alone.
+    The adapter then gets one ``predict_files`` call with every image path,
+    each the manifest path under the resolved corpus root, by condition id and
+    then in manifest order. Any non-matching response, including an empty one,
+    counts as incorrect.
     """
     corpus_dir = Path(corpus_dir)
     entries = read_manifest(corpus_dir)
@@ -316,10 +319,10 @@ def evaluate(adapter, corpus_dir: str | Path, classifier_id: str = "classifier")
     if prepare is None:
         verify_manifest(corpus_dir, entries)
     else:
-        files = verified_files(corpus_dir, entries)
-        prepare(root, files)
-        for _ in files:  # verify whatever the hook left unread
-            pass
+        with contextlib.closing(verified_files(corpus_dir, entries)) as files:
+            prepare(root, files)
+            for _ in files:  # verify whatever the hook left unread
+                pass
 
     by_condition: dict[int, list[ManifestEntry]] = {}
     for e in entries:

@@ -33,9 +33,10 @@ class Image:
             raise ParameterError(f"image dimensions must be positive, got {h}x{w}")
         if c not in (1, 3):
             raise ParameterError(f"channels must be 1 or 3, got {c}")
-        if not np.isfinite(arr).all():
-            raise ParameterError("pixel intensities must be finite")
-        if arr.min() < 0.0 or arr.max() > 1.0:
+        # min and max propagate NaN, so a NaN fails this test; isfinite only picks the message
+        if not (arr.min() >= 0.0 and arr.max() <= 1.0):
+            if not np.isfinite(arr).all():
+                raise ParameterError("pixel intensities must be finite")
             raise ParameterError("pixel intensities must lie in [0, 1]")
         arr = np.ascontiguousarray(arr)
         arr.setflags(write=False)

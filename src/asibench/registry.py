@@ -411,14 +411,52 @@ def verify_manifest(corpus_dir: str | Path, entries: list[ManifestEntry]) -> Non
         _verified(root, e, keep=False)
 
 
+READ_AHEAD_FILES = 8  # verified files that may wait for the caller
+
+
 def verified_files(
     corpus_dir: str | Path, entries: list[ManifestEntry]
 ) -> Iterator[tuple[ManifestEntry, bytes]]:
     """Yield each entry with its file's bytes, read once and matched to its checksum.
 
     Fails like ``verify_manifest``, on the first missing or altered file; the
-    bytes yielded are the bytes that were hashed.
+    bytes yielded are the bytes that were hashed. From the first ``next``, one
+    background thread reads and hashes up to ``READ_AHEAD_FILES`` files ahead
+    of the caller, in manifest order, and stops at the first error, which the
+    caller gets at that file's position. The thread only opens, reads and
+    hashes; it has ended once the stream is exhausted, has failed or is closed.
     """
+    # imported here so that importing the CLI does not pay for them
+    import queue
+    import threading
+
     root = str(Path(corpus_dir))
-    for e in entries:
-        yield e, _verified(root, e, keep=True)
+    files = queue.Queue(READ_AHEAD_FILES)
+    stop = threading.Event()
+
+    def read_ahead() -> None:
+        for e in entries:
+            if stop.is_set():
+                return
+            try:
+                item = e, _verified(root, e, keep=True)
+            except BaseException as exc:  # raised again in the caller, at this entry
+                files.put(exc)
+                return
+            files.put(item)
+        files.put(None)
+
+    reader = threading.Thread(target=read_ahead, name="asibench-reader", daemon=True)
+    reader.start()
+    try:
+        while (item := files.get()) is not None:
+            if isinstance(item, BaseException):
+                raise item
+            yield item
+    finally:
+        # once stopped, the thread puts at most one more file and the end mark,
+        # and a drained queue has room for both
+        stop.set()
+        while not files.empty():
+            files.get_nowait()
+        reader.join()

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,14 @@ def leave_no_plain_file(path, damage):
     path.unlink()
     if damage == "directory":
         path.mkdir()
+
+
+@pytest.fixture(autouse=True)
+def no_asibench_thread_outlives_its_test():
+    """Fail a test that leaves one of the package's background threads running."""
+    yield
+    alive = [t.name for t in threading.enumerate() if t.name.startswith("asibench-")]
+    assert not alive, f"threads still running after the test: {alive}"
 
 
 @pytest.fixture(scope="session")

@@ -175,6 +175,17 @@ class TestPerturb:
             assert sorted(p.name for p in (out / f"cond_{cond_id:03d}").iterdir()) == first_two
         assert json.loads((out / "run.json").read_text())["group_size"] == 2
 
+    def test_run_record_names_the_numpy_that_made_the_draws(self, runner, clean_dir, tmp_path):
+        reg = tmp_path / "reg.txt"
+        reg.write_text(TINY_REGISTRY)
+        out = tmp_path / "corpus"
+        result = runner.invoke(main, ["perturb", "--corpus", str(clean_dir), "--registry",
+                                      str(reg), "--seed", "3", "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        record = json.loads((out / "run.json").read_text())
+        assert record["numpy"] == np.__version__
+        assert record["seed"] == 3
+
     def test_bad_registry_is_validation_error(self, runner, clean_dir, tmp_path):
         reg = tmp_path / "reg.txt"
         reg.write_text("0 | clean | - | -\n1 | bad | SP 9 | -\n")
@@ -600,6 +611,21 @@ class TestEvaluateAndScore:
         # the score rows are what the numbers give, as without the warning
         assert result.stdout == ("classifier,cv,mean,asi\n"
                                  "frac,5.263,0.950,-0.694\npct,5.263,95.000,0.895\n")
+
+
+    def test_score_refuses_a_classifier_with_zero_mean(self, runner, tmp_path):
+        table = tmp_path / "acc.csv"
+        table.write_text("classifier,condition,accuracy\n"
+                         "g,0,90.0\ng,1,80.0\nz,0,0.0\nz,1,0.0\n")
+        out = tmp_path / "scores.csv"
+        for extra in ([], ["--out", str(out)]):
+            result = runner.invoke(main, ["score", "--table", str(table), *extra])
+            assert result.exit_code == 1
+            assert result.stdout == ""
+            # no fractions warning: the series is all zeros, not fractions
+            assert result.stderr == (f"error: {table}: classifier 'z': CV is undefined for "
+                                     "zero mean (every accuracy is 0)\n")
+        assert not out.exists()
 
 
 class TestCompare:

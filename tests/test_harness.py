@@ -90,6 +90,20 @@ class TestEvaluate:
         series = evaluate(FixedAdapter(labels), corpus)
         assert all(acc == 0.0 for acc in series.accuracies())
 
+    def test_a_prepare_that_raises_midway_leaves_no_reader_behind(self, corpus):
+        class FailingPrepare(FixedAdapter):
+            def prepare(self, root, files):
+                next(files)
+                next(files)
+                raise RuntimeError("prepare failed midway")
+
+        before = threading.active_count()
+        # the traceback held here keeps evaluate's frame, and the stream in it, alive
+        with pytest.raises(RuntimeError) as failure:
+            evaluate(FailingPrepare({}), corpus)
+        assert threading.active_count() == before
+        assert str(failure.value) == "prepare failed midway"
+
 
 def corrupt_last_entry(corpus):
     """Flip one pixel bit of the last file in the manifest."""

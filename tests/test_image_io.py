@@ -16,6 +16,22 @@ def test_image_validation():
         Image(np.zeros((0, 4)))
 
 
+@pytest.mark.parametrize("bad,message", [
+    ([np.nan], "pixel intensities must be finite"),
+    ([np.inf], "pixel intensities must be finite"),
+    ([-np.inf], "pixel intensities must be finite"),
+    ([-0.1], r"pixel intensities must lie in \[0, 1\]"),
+    ([1.1], r"pixel intensities must lie in \[0, 1\]"),
+    # NaN is not finite, whatever else is out of range
+    ([1.5, np.nan], "pixel intensities must be finite"),
+], ids=["nan", "+inf", "-inf", "-0.1", "1.1", "1.5_and_nan"])
+def test_a_bad_intensity_names_the_fault(bad, message):
+    pixels = np.full((3, 4, 3), 0.5)
+    pixels.flat[[5, 30][: len(bad)]] = bad  # bad values among good ones
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        Image(pixels)
+
+
 def test_gray_promoted_to_3d():
     img = Image(np.zeros((5, 7)))
     assert (img.height, img.width, img.channels) == (5, 7, 1)

@@ -320,3 +320,21 @@ class TestReferenceFixture:
         readme = " ".join(readme.split())  # the prose as one line
         assert "the CV order in 30 of the 2,775 pairs" in readme
         assert "the mean order in 1,270" in readme
+
+    def test_rounding_of_the_cells_decides_no_order(self):
+        # the README's rounding note: over each row's 3-dp mean and CV cells +-0.0005,
+        # ASI moves by at most 2.3e-5, and no two rows' ranges meet, so the 21 pairs
+        # with equal 3-dp asi cells are still ordered by their mean and CV cells
+        rows = load_reference_scores()
+        half = 0.0005
+        span = {r.row_id: (asi(r.mean - half, r.cv + half), asi(r.mean + half, r.cv - half))
+                for r in rows}
+        assert max(hi - lo for lo, hi in span.values()) < 2.3e-5
+        pairs = list(itertools.combinations(rows, 2))
+        for a, b in pairs:
+            (lo_a, hi_a), (lo_b, hi_b) = span[a.row_id], span[b.row_id]
+            assert hi_a < lo_b or hi_b < lo_a, (a.row_id, b.row_id)
+        assert sum(a.asi == b.asi for a, b in pairs) == 21
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text("utf-8")
+        readme = " ".join(readme.split())
+        assert "21 of the 2,775 published pairs have equal 3-dp `asi` cells" in readme

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from asibench.image import Image
 from asibench.perturb import (
     Kind,
     PerturbationStep,
+    _rng,
     apply_gaussian_noise,
     apply_salt_pepper,
     apply_sequence,
@@ -203,3 +206,34 @@ def test_closure_bounds():
     ):
         assert out.pixels.min() >= 0.0 and out.pixels.max() <= 1.0
         assert out.pixels.shape == img.pixels.shape
+
+
+# Every noisy file is made of these draws. numpy keeps its bit generators'
+# streams stable across releases but lets Generator methods change, so a numpy
+# whose draws differ fails here, naming the draw, before any golden digest
+# does. Recorded with numpy 2.4.6.
+DRAWS = {
+    "derive_seed": (
+        lambda: [derive_seed(s, c, i) for s in (0, 42, 2**63 + 5) for c in (0, 1, 68)
+                 for i in (0, 1, 999)],
+        "<u8", "4eeee806f67e3571"),
+    # the sizes of a 10% salt-and-pepper hit on 32x32 and on 224x224
+    "choice_without_replacement": (
+        lambda: np.concatenate([_rng(7).choice(32 * 32, size=102, replace=False),
+                                _rng(8).choice(224 * 224, size=10035, replace=False)]),
+        "<i8", "e2d1ad3e9bc2fa1b"),
+    "random": (lambda: _rng(9).random(205), "<f8", "05e85745f8f4dabc"),
+    "normal": (
+        lambda: np.concatenate([_rng(10).normal(0.0, 0.15, size=(32, 32, 1)).ravel(),
+                                _rng(11).normal(0.0, 0.05, size=(8, 8, 3)).ravel()]),
+        "<f8", "35ef0e4a0f54dd0a"),
+}
+
+
+@pytest.mark.parametrize("draw", sorted(DRAWS))
+def test_random_draws_are_the_recorded_streams(draw):
+    make, dtype, digest = DRAWS[draw]
+    values = np.asarray(make(), dtype=dtype)
+    assert hashlib.sha256(values.tobytes()).hexdigest()[:16] == digest, (
+        f"{draw} gives other values under numpy {np.__version__}: every noisy file would change"
+    )

@@ -1,10 +1,12 @@
 import collections
+import gc
 import itertools
 import multiprocessing
 import os
 import re
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -400,6 +402,88 @@ class TestUnitsOfWork:
             assert exc is fault
         else:  # a copy sent back from the worker
             assert type(exc) is ArithmeticError and exc.args == fault.args
+
+
+class TestReadAhead:
+    """verified_files reads and hashes ahead of its caller on one background thread."""
+
+    @pytest.fixture
+    def corpus(self, tmp_path, small_corpus):
+        entries = materialize(small_corpus[:6], tiny_registry(), 1, tmp_path)
+        assert len(entries) > 2 * registry.READ_AHEAD_FILES  # the queue fills
+        return tmp_path, entries
+
+    @staticmethod
+    def sequential(root, entries):
+        """The stream without a thread: _verified on each entry, stopping at the first error."""
+        for e in entries:
+            yield e, registry._verified(str(root), e, keep=True)
+
+    @pytest.mark.parametrize("damaged", [None, "missing", "altered"])
+    def test_the_stream_equals_a_sequential_check_under_constant_switching(self, corpus,
+                                                                           damaged):
+        root, entries = corpus
+        victim = root / entries[registry.READ_AHEAD_FILES + 3].output_path
+        if damaged == "missing":
+            victim.unlink()
+        elif damaged == "altered":
+            victim.write_bytes(victim.read_bytes() + b"\0")
+
+        def outcome(stream):
+            pairs = []
+            try:
+                for pair in stream:
+                    pairs.append(pair)
+            except ManifestError as exc:
+                return pairs, str(exc)
+            return pairs, None
+
+        expected = outcome(self.sequential(root, entries))
+        assert (expected[1] is None) == (damaged is None)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch between the caller and the reader often
+        try:
+            for _ in range(5):
+                assert outcome(verified_files(root, entries)) == expected
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("end", ["exhausted", "failed", "closed", "collected"])
+    def test_the_reader_has_ended_however_the_stream_ends(self, corpus, end, monkeypatch):
+        root, entries = corpus
+        if end == "failed":
+            (root / entries[-1].output_path).unlink()
+        reads = []
+        real_verified = registry._verified
+
+        def counting_verified(root, entry, keep):
+            reads.append(entry)
+            return real_verified(root, entry, keep)
+
+        monkeypatch.setattr(registry, "_verified", counting_verified)
+        before = threading.active_count()
+        stream = verified_files(root, entries)
+        assert threading.active_count() == before  # nothing runs before the first next
+        next(stream)
+        # the file taken, a full queue, and one more file waiting for room
+        full = registry.READ_AHEAD_FILES + 2
+        deadline = time.monotonic() + 30
+        while len(reads) < full and time.monotonic() < deadline:
+            time.sleep(0.001)
+        time.sleep(0.01)  # time enough to read further, were the queue unbounded
+        assert reads == entries[:full]
+        assert "asibench-reader" in [t.name for t in threading.enumerate()]
+        if end == "exhausted":
+            assert len(list(stream)) == len(entries) - 1
+        elif end == "failed":
+            with pytest.raises(ManifestError, match="missing corpus file"):
+                list(stream)
+        elif end == "closed":
+            stream.close()
+        else:
+            del stream
+            gc.collect()
+        assert threading.active_count() == before
 
 
 def test_condition_step_limit():
