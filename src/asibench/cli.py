@@ -47,8 +47,13 @@ def _guard(fn):
 
 
 def _read_clean_corpus(corpus_dir: Path, limit: int | None):
-    """Read PGM/PPM images plus labels.csv (filename,label) from a directory."""
-    from .image import read_netpbm
+    """Check the PGM/PPM images listed in labels.csv (filename,label) of a directory.
+
+    Every listed file must exist and decode, so that a bad one fails before
+    anything is written. The pixels are not kept: each item is (filename,
+    label, path), and ``materialize`` reads the path again when its turn comes.
+    """
+    from .image import decode_netpbm
 
     labels_path = corpus_dir / "labels.csv"
     if not corpus_dir.is_dir():
@@ -68,7 +73,8 @@ def _read_clean_corpus(corpus_dir: Path, limit: int | None):
         path = corpus_dir / row["filename"]
         if not path.is_file():
             raise ParameterError(f"clean image not found: {path}")
-        clean.append((row["filename"], row["label"], read_netpbm(path)))
+        decode_netpbm(path.read_bytes(), path)
+        clean.append((row["filename"], row["label"], str(path)))
     return clean
 
 

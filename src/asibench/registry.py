@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from . import perturb, tables
+from . import image, perturb, tables
 from .errors import ManifestError, ParameterError, RegistryError
 from .image import Image, netpbm_bytes
 from .perturb import Kind, PerturbationStep, apply_sequence, derive_seed
@@ -148,6 +148,9 @@ MANIFEST_FIELDS = [
 ]
 MANIFEST_NAME = "manifest.csv"
 
+# a clean image as materialize takes it: decoded, or the path of its netpbm file
+CleanImage = Image | str | os.PathLike
+
 
 def _read_file(path: str | Path) -> bytes:
     # unbuffered: a buffered file adds an isatty call and a buffer that readall never uses
@@ -219,23 +222,32 @@ class _WriteBehind:
 
 
 def _write_images(
-    clean: list[tuple[str, str, Image]],
+    clean: list[tuple[str, str, CleanImage]],
     indices: range,
     conditions: tuple[Condition, ...],
     seed: int,
     out_dir: Path,
+    stop=None,
 ) -> list[tuple[int, int, ManifestEntry]]:
     """Write every condition's file of the clean images at ``indices``, one image at a time.
 
-    Returns (registry position, image index, manifest row) triples. A rotation
-    draws no randomness, so each image is rotated once per distinct first-step
-    angle; each condition then finishes its later steps from that rotation with
-    the sub-seed derive_seed(seed, condition_id, image_index), as if it ran alone.
+    Returns (registry position, image index, manifest row) triples. A clean
+    image given by its path is read when its turn comes, so only one is held
+    at a time. A rotation draws no randomness, so each image is rotated once
+    per distinct first-step angle; each condition then finishes its later
+    steps from that rotation with the sub-seed derive_seed(seed, condition_id,
+    image_index), as if it ran alone. Once ``stop`` (an event) is set, no
+    further image is begun and the rows so far are returned.
     """
     rows = []
     with _WriteBehind() as writer:
         for idx in indices:
+            if stop is not None and stop.is_set():
+                break
             name, true_label, img = clean[idx]
+            if not isinstance(img, Image):
+                # looked up on the module, so that a wrapper of it sees each read
+                img = image.read_netpbm(img)
             rotated: dict[float, Image] = {}
             for pos, cond in enumerate(conditions):
                 base, rest, skip = img, cond.steps, 0
@@ -260,7 +272,8 @@ def _write_images(
     return rows
 
 
-_worker_job: tuple | None = None  # (clean, conditions, seed, out_dir, workers) in a pool worker
+# (clean, conditions, seed, out_dir, workers, failed) in a pool worker
+_worker_job: tuple | None = None
 
 
 def _init_worker(*job) -> None:
@@ -269,8 +282,13 @@ def _init_worker(*job) -> None:
 
 
 def _worker_write_chunk(k: int) -> list[tuple[int, int, ManifestEntry]]:
-    clean, conditions, seed, out_dir, workers = _worker_job
-    return _write_images(clean, range(k, len(clean), workers), conditions, seed, out_dir)
+    clean, conditions, seed, out_dir, workers, failed = _worker_job
+    try:
+        return _write_images(clean, range(k, len(clean), workers), conditions, seed, out_dir,
+                             failed)
+    except BaseException:
+        failed.set()  # the other workers stop at their next image
+        raise
 
 
 def _write_chunks_in_pool(clean, conditions, seed, out_dir, workers):
@@ -280,27 +298,30 @@ def _write_chunks_in_pool(clean, conditions, seed, out_dir, workers):
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    # fork shares the clean corpus with the workers and skips re-importing numpy
-    # and asibench in each (about 0.3 s a call), but may deadlock a child when
-    # another thread held a lock at the fork
+    # fork skips re-importing numpy and asibench in each worker (about 0.3 s a
+    # call), but may deadlock a child when another thread held a lock at the fork
     forkable = "fork" in multiprocessing.get_all_start_methods()
     method = "fork" if forkable and threading.active_count() == 1 else "spawn"
+    context = multiprocessing.get_context(method)
+    # every chunk is running from the start, so cancelling futures stops none of them
+    failed = context.Event()
     pool = ProcessPoolExecutor(
         workers,
-        mp_context=multiprocessing.get_context(method),
+        mp_context=context,
         initializer=_init_worker,
-        initargs=(clean, conditions, seed, out_dir, workers),
+        initargs=(clean, conditions, seed, out_dir, workers, failed),
     )
     try:
         return [row for chunk in pool.map(_worker_write_chunk, range(workers)) for row in chunk]
     except BrokenProcessPool as exc:
         raise ChildProcessError(f"a perturb worker process died: {exc}") from None
     finally:
+        failed.set()  # no effect after success; after an error here, the workers stop early
         pool.shutdown(cancel_futures=True)
 
 
 def materialize(
-    clean: list[tuple[str, str, Image]],
+    clean: list[tuple[str, str, CleanImage]],
     registry: ConditionRegistry,
     seed: int,
     out_dir: str | Path,
@@ -309,9 +330,11 @@ def materialize(
 ) -> list[ManifestEntry]:
     """Write one image group per condition plus a manifest.
 
-    ``clean`` is a list of (filename, true_label, image). Group 0 is a
-    byte-identical re-encoding of the clean images; every other group applies
-    the condition's step sequence with sub-seed derive_seed(seed, condition_id,
+    ``clean`` is a list of (filename, true_label, image), where the image is
+    an ``Image`` or the path of a netpbm file, read with ``read_netpbm`` by the
+    process that handles it when its turn comes. Group 0 is a byte-identical
+    re-encoding of the clean images; every other group applies the
+    condition's step sequence with sub-seed derive_seed(seed, condition_id,
     image_index). Output bytes depend only on (clean, registry, seed). A
     filename that repeats or is not a plain file name fails before any write.
 
@@ -320,8 +343,9 @@ def materialize(
     its file handed to a background writer thread. ``jobs`` caps the worker
     processes, and so does the CPU count; of W workers, worker k takes the
     images k, k + W, k + 2W, ..., so a worker may have none. With one worker
-    every file is written in this process. The manifest is in registry order,
-    then image order, whatever the scheduling.
+    every file is written in this process. The first error in a worker stops
+    the others at their next image, and the caller gets it. The manifest is in
+    registry order, then image order, whatever the scheduling.
     """
     if not clean:
         raise ParameterError("clean corpus is empty")

@@ -1,3 +1,4 @@
+import multiprocessing
 import threading
 
 import numpy as np
@@ -60,6 +61,14 @@ def no_asibench_thread_outlives_its_test():
     yield
     alive = [t.name for t in threading.enumerate() if t.name.startswith("asibench-")]
     assert not alive, f"threads still running after the test: {alive}"
+
+
+@pytest.fixture(autouse=True)
+def no_worker_process_outlives_its_test():
+    """Fail a test that leaves a multiprocessing child (a pool worker) alive."""
+    yield
+    alive = multiprocessing.active_children()  # also reaps the children that have ended
+    assert not alive, f"processes still running after the test: {alive}"
 
 
 @pytest.fixture(scope="session")

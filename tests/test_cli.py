@@ -8,6 +8,7 @@ import shlex
 import sys
 import textwrap
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -225,6 +226,43 @@ class TestPerturb:
         assert result.exit_code == 1
         assert f"error: clean image name {name!r} {reason}" in result.output
         assert not out.exists()
+
+    @pytest.mark.parametrize("damage,message", [
+        (lambda path: path.write_bytes(path.read_bytes()[:-1]), "{path}: truncated pixel data"),
+        (lambda path: path.unlink(), "clean image not found: {path}"),
+    ])
+    def test_a_bad_clean_image_fails_before_any_write(self, runner, clean_dir, tmp_path, damage,
+                                                      message):
+        victim = clean_dir / "bright_01.pgm"  # the last row of labels.csv
+        damage(victim)
+        out = tmp_path / "o"
+        result = runner.invoke(main, ["perturb", "--corpus", str(clean_dir), "--out", str(out)])
+        assert result.exit_code == 1
+        assert f"error: {message.format(path=victim)}" in result.output
+        assert not out.exists()
+
+
+class TestPerturbMemory:
+    def test_peak_does_not_grow_with_the_clean_corpus(self, tmp_path):
+        """perturb's traced peak, read through the CLI's corpus reader, is flat in the corpus size."""
+        size = 128
+        corpus = synthetic_corpus(n_per_class=6, size=size)
+        reg = registry.default_registry()
+
+        def peak(n, tag):
+            clean_dir = write_clean_corpus(corpus[:n], tmp_path / f"clean_{tag}")
+            tracemalloc.start()
+            try:
+                clean = cli._read_clean_corpus(clean_dir, None)
+                registry.materialize(clean, reg, 0, tmp_path / f"out_{tag}", jobs=1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(4, "warm")  # the rotation plans are then cached for both measured runs
+        growth = (peak(16, "large") - peak(4, "small")) / 12
+        image_bytes = size * size * 8  # one float64 gray image
+        assert growth < image_bytes / 4, f"{growth / 1024:.1f} KiB more per clean image"
 
 
 def spy_on_spawns(monkeypatch):

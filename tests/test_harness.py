@@ -150,6 +150,28 @@ class TestToyClassifierAdapter:
         files = {(corpus / e.output_path).resolve() for e in read_manifest(corpus)}
         assert {f: opened[f] for f in files} == dict.fromkeys(files, 1)
 
+    def test_a_second_spelling_of_a_path_is_answered_from_the_prepared_features(
+        self, corpus, monkeypatch
+    ):
+        expected = evaluate(ToyClassifierAdapter(), corpus)
+        manifest = corpus / "manifest.csv"
+        manifest.write_text(
+            manifest.read_text().replace("cond_000/dark_00.pgm", "cond_000/./dark_00.pgm")
+        )
+        assert "cond_000/./dark_00.pgm" in [e.output_path for e in read_manifest(corpus)]
+        opened = Counter()
+        real_open = io.open
+
+        def counting_open(file, *args, **kwargs):
+            if not isinstance(file, int):
+                opened[Path(file).resolve()] += 1
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        monkeypatch.setattr(io, "open", counting_open)
+        assert evaluate(ToyClassifierAdapter(), corpus) == expected
+        assert opened[(corpus / "cond_000" / "dark_00.pgm").resolve()] == 1
+
     def test_predict_file_reads_a_path_it_has_not_seen(self, corpus):
         adapter = ToyClassifierAdapter()
         evaluate(adapter, corpus)

@@ -13,6 +13,7 @@ import pytest
 
 from asibench.errors import ManifestError, ParameterError, RegistryError
 from asibench.image import Image, read_netpbm, write_netpbm, netpbm_bytes
+from asibench import image as image_module
 from asibench import perturb, registry
 from asibench.perturb import Kind, apply_sequence, derive_seed
 from asibench.registry import (
@@ -26,7 +27,7 @@ from asibench.registry import (
     verified_files,
     verify_manifest,
 )
-from conftest import leave_no_plain_file, synthetic_corpus
+from conftest import leave_no_plain_file, synthetic_corpus, write_clean_corpus
 
 # The grids the shipped catalog is documented to enumerate
 SP_GRID = (0.1, 0.15, 0.2)
@@ -168,21 +169,11 @@ class TestMaterialize:
         e1 = materialize(small_corpus[:6], tiny_registry(), 5, a, jobs=1)
         e2 = materialize(small_corpus[:6], tiny_registry(), 5, b, jobs=2)
         assert e1 == e2
-        files = sorted(p.relative_to(a) for p in a.rglob("*") if p.is_file())
-        assert files == sorted(p.relative_to(b) for p in b.rglob("*") if p.is_file())
-        for rel in files:
-            assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
+        assert_same_files(a, b)
 
     def test_jobs_spawn_while_threads_run(self, tmp_path, small_corpus, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        methods = []
-        get_context = multiprocessing.get_context
-
-        def recording_get_context(method=None):
-            methods.append(method)
-            return get_context(method)
-
-        monkeypatch.setattr(multiprocessing, "get_context", recording_get_context)
+        methods = record_start_methods(monkeypatch)
         release = threading.Event()
         other = threading.Thread(target=release.wait, args=(60,))
         other.start()
@@ -402,6 +393,106 @@ class TestUnitsOfWork:
             assert exc is fault
         else:  # a copy sent back from the worker
             assert type(exc) is ArithmeticError and exc.args == fault.args
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="the patch reaches the workers only through fork")
+    def test_the_first_error_stops_the_other_workers(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        clean = synthetic_corpus(n_per_class=14, size=64)[:40]
+        first = clean[0][2]
+        real_sp = perturb.apply_salt_pepper
+
+        def failing_sp(img, density, seed):
+            if img == first:
+                raise ArithmeticError("kernel fault on clean image 0")
+            return real_sp(img, density, seed)
+
+        monkeypatch.setattr(perturb, "apply_salt_pepper", failing_sp)
+        reg, out = default_registry(), tmp_path / "out"
+        exc = _thread_count_kept(lambda: materialize(clean, reg, 0, out, jobs=2))
+        assert type(exc) is ArithmeticError and exc.args == ("kernel fault on clean image 0",)
+        # the other worker stops at its next clean image instead of finishing its 20
+        written = sum(1 for _ in out.rglob("*.pgm"))
+        assert written < 3 * len(reg.conditions), f"{written} files written"
+
+
+def assert_same_files(a, b):
+    """The two trees hold the same files, byte for byte."""
+    files = sorted(p.relative_to(a) for p in a.rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(b) for p in b.rglob("*") if p.is_file())
+    for rel in files:
+        assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
+
+
+def record_start_methods(monkeypatch) -> list:
+    """Record the start method of every pool context that materialize asks for."""
+    methods = []
+    get_context = multiprocessing.get_context
+
+    def recording_get_context(method=None):
+        methods.append(method)
+        return get_context(method)
+
+    monkeypatch.setattr(multiprocessing, "get_context", recording_get_context)
+    return methods
+
+
+class TestCleanImagesByPath:
+    """materialize reads a clean image given by its path when that image's turn comes."""
+
+    @pytest.fixture
+    def clean(self, tmp_path, small_corpus):
+        """The same five clean images, by path and decoded from those paths."""
+        clean_dir = write_clean_corpus(small_corpus[:5], tmp_path / "clean")
+        paths = [(name, label, str(clean_dir / name)) for name, label, _ in small_corpus[:5]]
+        return paths, [(name, label, read_netpbm(path)) for name, label, path in paths]
+
+    @pytest.mark.parametrize("method", ["in-process", "fork", "spawn"])
+    def test_paths_write_what_their_decoded_images_write(self, tmp_path, clean, monkeypatch,
+                                                         method):
+        if method == "fork" and "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("no fork on this platform")
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        paths, images = clean
+        reg = load_registry(INTERLEAVED)
+        expected = materialize(images, reg, 31, tmp_path / "from_images")
+        methods = record_start_methods(monkeypatch)
+        release = threading.Event()
+        # a second running thread makes the pool spawn its workers
+        other = threading.Thread(target=release.wait, args=(60,))
+        if method == "spawn":
+            other.start()
+        try:
+            jobs = 1 if method == "in-process" else 2
+            entries = materialize(paths, reg, 31, tmp_path / "from_paths", jobs=jobs)
+        finally:
+            release.set()
+            if method == "spawn":
+                other.join(timeout=60)
+        assert not other.is_alive()
+        assert methods == ([] if method == "in-process" else [method])
+        assert entries == expected
+        assert_same_files(tmp_path / "from_images", tmp_path / "from_paths")
+
+    def test_each_path_is_read_when_its_turn_comes(self, tmp_path, clean, monkeypatch):
+        paths, _ = clean
+        events = []
+        real_read, real_rotate = image_module.read_netpbm, perturb.rotate
+
+        def logged_read(path):
+            events.append(("read", path))
+            return real_read(path)
+
+        def logged_rotate(img, degrees):
+            events.append("rotate")
+            return real_rotate(img, degrees)
+
+        monkeypatch.setattr(image_module, "read_netpbm", logged_read)
+        monkeypatch.setattr(perturb, "rotate", logged_rotate)
+        materialize(paths, load_registry(INTERLEAVED), 31, tmp_path / "out")
+        # ROT 30 and ROT -30 of the clean image, and SP 0.1 | ROT 30's own rotation
+        assert events == [event for _, _, path in paths
+                          for event in [("read", path)] + ["rotate"] * 3]
 
 
 class TestReadAhead:
