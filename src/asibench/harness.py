@@ -248,33 +248,34 @@ class PredictionsFileAdapter:
     """Serves labels from a CSV of precomputed predictions.
 
     Schema: header ``path,label``; ``path`` is the manifest's output_path
-    (relative to the corpus root), once per file.
+    (relative to the corpus root), once per file. Paths are compared
+    normalized, so two spellings of one path are a repeated path.
     """
 
     def __init__(self, table_path: str | Path):
-        self._root: Path | None = None  # the resolved root of the corpus being evaluated
-        self._labels: dict[str, str] = {}
+        self._root: str | None = None  # the resolved root of the corpus being evaluated
+        self._labels: dict[str, str] = {}  # by normalized path
         with open(table_path, newline="", encoding="utf-8") as fh:
             for where, row in tables.rows(fh, ["path", "label"], table_path, ParameterError):
-                if row["path"] in self._labels:
+                key = os.path.normpath(row["path"])
+                if key in self._labels:
                     raise ParameterError(f"{where}: repeated path {row['path']!r}")
-                self._labels[row["path"]] = row["label"]
+                self._labels[key] = row["label"]
 
     def predict_file(self, path: Path) -> str:
-        path = Path(path)
-        key = str(path)
-        if self._root is not None:
-            try:
-                key = str(path.resolve().relative_to(self._root))
-            except ValueError:
-                pass
-        if key not in self._labels:
+        # string work only: no call to the filesystem per path
+        if self._root is None:
+            key = os.path.normpath(path)
+        else:
+            key = os.path.relpath(path, self._root)
+        label = self._labels.get(key)
+        if label is None:
             raise AdapterError(f"no prediction recorded for {key}")
-        return self._labels[key]
+        return label
 
     def prepare(self, root: Path, files) -> None:
         """Keys are relative to the corpus being evaluated."""
-        self._root = root
+        self._root = os.fspath(root)
 
     def predict_files(self, paths: list[Path]) -> list[str]:
         return [self.predict_file(p) for p in paths]
@@ -301,11 +302,12 @@ def evaluate(adapter, corpus_dir: str | Path, classifier_id: str = "classifier")
     ``start()`` method has it called once the manifest has been read, before
     the checksums are verified, so that it can load meanwhile; it gets no
     path until every file is verified. An adapter with a
-    ``prepare(root, files)`` method gets the resolved corpus root and a stream
-    of ``(manifest entry, file bytes)`` pairs in manifest order, each file read
-    once, ahead of the hook on a background thread, and yielded only after its
-    bytes match its checksum; whatever the hook leaves unread is verified after
-    it returns, and the thread has ended when ``evaluate`` returns or raises.
+    ``prepare(root, files)`` method gets the resolved corpus root and
+    ``verified_files``: a stream of ``(manifest entry, file bytes)`` pairs in
+    manifest order, each file read once, at most ``READ_AHEAD_FILES`` ahead
+    of the hook on one background thread, and yielded only after its bytes
+    match its checksum. Whatever the hook leaves unread is verified after it
+    returns, and the thread has ended when ``evaluate`` returns or raises.
     An adapter without one has the manifest verified from the paths alone.
     The adapter then gets one ``predict_files`` call with every image path,
     each the manifest path under the resolved corpus root, by condition id and

@@ -10,11 +10,12 @@ runs can be verified byte-for-byte.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import os
-from collections.abc import Iterator
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
+from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 
@@ -138,14 +139,7 @@ class ManifestEntry:
     checksum: str
 
 
-MANIFEST_FIELDS = [
-    "condition_id",
-    "condition_label",
-    "source_filename",
-    "output_path",
-    "true_label",
-    "checksum",
-]
+MANIFEST_FIELDS = [field.name for field in fields(ManifestEntry)]
 MANIFEST_NAME = "manifest.csv"
 
 # a clean image as materialize takes it: decoded, or the path of its netpbm file
@@ -162,7 +156,7 @@ def sha256_file(path: str | Path) -> str:
     return hashlib.sha256(_read_file(path)).hexdigest()
 
 
-WRITE_BEHIND_FILES = 32  # encoded files that may wait for the writer thread
+WRITE_BEHIND_FILES = 32  # computed files that may wait for the calling thread to write them
 _CREATE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_BINARY", 0)
 
 
@@ -178,47 +172,96 @@ def _write_file(path: str, data: bytes) -> None:
         os.close(fd)
 
 
-class _WriteBehind:
-    """Write files from one background thread while the caller computes the next.
+def _ahead(items: Iterable, size: int, name: str) -> Iterator:
+    """Yield ``items`` in order, advanced by one background thread up to ``size`` ahead.
 
-    The thread only opens, writes and closes files; encoding, hashing and every
-    other call stay on the caller's thread. The first error the thread meets
-    is raised in the caller, by the next ``write`` or on leaving the block, and
-    the thread has ended when the block is left, however it is left.
+    The thread starts on the first ``next`` and does nothing but advance
+    ``items``. The first exception it meets is raised here, at that item's
+    position, and ends the stream. The thread checks for a stop before it
+    computes each next item; once the stream is exhausted, has failed or is
+    closed, it finishes at most the item in hand, and it has ended when this
+    generator has.
     """
+    # imported here so that importing the CLI does not pay for them
+    import queue
+    import threading
 
-    def __init__(self):
-        # imported here so that importing the CLI does not pay for them
-        import queue
-        import threading
+    it = iter(items)
+    ready = queue.Queue(size)  # (item,), then None at the end or the exception met
+    stop = threading.Event()
 
-        self._files = queue.Queue(WRITE_BEHIND_FILES)
-        self._error: Exception | None = None
-        self._thread = threading.Thread(target=self._drain, name="asibench-writer", daemon=True)
+    def advance() -> None:
+        while not stop.is_set():
+            try:
+                ready.put((next(it),))
+            except StopIteration:
+                ready.put(None)
+                return
+            except BaseException as exc:  # raised again in the caller, at this item
+                ready.put(exc)
+                return
 
-    def _drain(self) -> None:
-        # after an error, keep taking files (unwritten) so that the caller never blocks
-        while (item := self._files.get()) is not None:
-            if self._error is None:
-                try:
-                    _write_file(*item)
-                except Exception as exc:  # raised again in the caller
-                    self._error = exc
+    thread = threading.Thread(target=advance, name=name, daemon=True)
+    thread.start()
+    try:
+        while (got := ready.get()) is not None:
+            if isinstance(got, BaseException):
+                raise got
+            yield got[0]
+    finally:
+        # once stopped, the thread puts at most one more entry, and a drained
+        # queue has room for it
+        stop.set()
+        while not ready.empty():
+            ready.get_nowait()
+        thread.join()
 
-    def write(self, path: Path, data: bytes) -> None:
-        if self._error is not None:
-            raise self._error
-        self._files.put((os.fspath(path), data))
 
-    def __enter__(self) -> "_WriteBehind":
-        self._thread.start()
-        return self
+def _image_files(
+    clean: list[tuple[str, str, CleanImage]],
+    indices: range,
+    conditions: tuple[Condition, ...],
+    seed: int,
+    out_dir: Path,
+    stop=None,
+) -> Iterator[tuple[str, bytes, tuple[int, int, ManifestEntry]]]:
+    """Compute every condition's file of the clean images at ``indices``, one image at a time.
 
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self._files.put(None)
-        self._thread.join()
-        if exc_type is None and self._error is not None:
-            raise self._error
+    Yields (path, bytes, row) for each file, where the row is (registry
+    position, image index, manifest row). A clean image given by its path is
+    read when its turn comes, so only one is held at a time. A rotation draws
+    no randomness, so each image is rotated once per distinct first-step
+    angle; each condition then finishes its later steps from that rotation
+    with the sub-seed derive_seed(seed, condition_id, image_index), as if it
+    ran alone. Once ``stop`` (an event) is set, no further image is begun.
+    """
+    for idx in indices:
+        if stop is not None and stop.is_set():
+            return
+        name, true_label, img = clean[idx]
+        if not isinstance(img, Image):
+            # looked up on the module, so that a wrapper of it sees each read
+            img = image.read_netpbm(img)
+        rotated: dict[float, Image] = {}
+        for pos, cond in enumerate(conditions):
+            base, rest, skip = img, cond.steps, 0
+            if rest and rest[0].kind is Kind.ROTATION:
+                angle = rest[0].intensity
+                if angle not in rotated:
+                    rotated[angle] = perturb.rotate(img, angle)
+                base, rest, skip = rotated[angle], rest[1:], 1
+            if rest:
+                base = apply_sequence(base, rest, derive_seed(seed, cond.id, idx), start=skip)
+            data = netpbm_bytes(base)
+            output_path = os.path.join(f"cond_{cond.id:03d}", name)
+            yield os.path.join(out_dir, output_path), data, (pos, idx, ManifestEntry(
+                condition_id=cond.id,
+                condition_label=cond.label,
+                source_filename=name,
+                output_path=output_path,
+                true_label=true_label,
+                checksum=hashlib.sha256(data).hexdigest(),
+            ))
 
 
 def _write_images(
@@ -229,46 +272,22 @@ def _write_images(
     out_dir: Path,
     stop=None,
 ) -> list[tuple[int, int, ManifestEntry]]:
-    """Write every condition's file of the clean images at ``indices``, one image at a time.
+    """Write every condition's file of the clean images at ``indices``; return their rows.
 
-    Returns (registry position, image index, manifest row) triples. A clean
-    image given by its path is read when its turn comes, so only one is held
-    at a time. A rotation draws no randomness, so each image is rotated once
-    per distinct first-step angle; each condition then finishes its later
-    steps from that rotation with the sub-seed derive_seed(seed, condition_id,
-    image_index), as if it ran alone. Once ``stop`` (an event) is set, no
-    further image is begun and the rows so far are returned.
+    The files are computed by ``_image_files`` on one background thread, up
+    to ``WRITE_BEHIND_FILES`` ahead, and written on this one, which calls
+    nothing else meanwhile: every kernel call of the stream is on the one
+    thread. The first error either thread meets is raised here, and the
+    background thread has ended by then. Once ``stop`` is set, no further
+    image is begun and the rows so far are returned.
     """
     rows = []
-    with _WriteBehind() as writer:
-        for idx in indices:
-            if stop is not None and stop.is_set():
-                break
-            name, true_label, img = clean[idx]
-            if not isinstance(img, Image):
-                # looked up on the module, so that a wrapper of it sees each read
-                img = image.read_netpbm(img)
-            rotated: dict[float, Image] = {}
-            for pos, cond in enumerate(conditions):
-                base, rest, skip = img, cond.steps, 0
-                if rest and rest[0].kind is Kind.ROTATION:
-                    angle = rest[0].intensity
-                    if angle not in rotated:
-                        rotated[angle] = perturb.rotate(img, angle)
-                    base, rest, skip = rotated[angle], rest[1:], 1
-                if rest:
-                    base = apply_sequence(base, rest, derive_seed(seed, cond.id, idx), start=skip)
-                data = netpbm_bytes(base)
-                output_path = os.path.join(f"cond_{cond.id:03d}", name)
-                writer.write(out_dir / output_path, data)
-                rows.append((pos, idx, ManifestEntry(
-                    condition_id=cond.id,
-                    condition_label=cond.label,
-                    source_filename=name,
-                    output_path=output_path,
-                    true_label=true_label,
-                    checksum=hashlib.sha256(data).hexdigest(),
-                )))
+    files = _ahead(_image_files(clean, indices, conditions, seed, out_dir, stop),
+                   WRITE_BEHIND_FILES, "asibench-perturb")
+    with contextlib.closing(files):
+        for path, data, row in files:
+            _write_file(path, data)
+            rows.append(row)
     return rows
 
 
@@ -339,13 +358,14 @@ def materialize(
     filename that repeats or is not a plain file name fails before any write.
 
     The work goes one clean image at a time: each image is rotated once per
-    distinct first-step angle, then every condition is finished from there and
-    its file handed to a background writer thread. ``jobs`` caps the worker
-    processes, and so does the CPU count; of W workers, worker k takes the
-    images k, k + W, k + 2W, ..., so a worker may have none. With one worker
-    every file is written in this process. The first error in a worker stops
-    the others at their next image, and the caller gets it. The manifest is in
-    registry order, then image order, whatever the scheduling.
+    distinct first-step angle, then every condition is finished from there,
+    on a background thread, while the calling thread writes the files
+    already finished. ``jobs`` caps the worker processes, and so does the CPU
+    count; of W workers, worker k takes the images k, k + W, k + 2W, ..., so
+    a worker may have none. With one worker every file is written in this
+    process. The first error in a worker stops the others at their next
+    image, and the caller gets it. The manifest is in registry order, then
+    image order, whatever the scheduling.
     """
     if not clean:
         raise ParameterError("clean corpus is empty")
@@ -393,6 +413,10 @@ def read_manifest(corpus_dir: str | Path) -> list[ManifestEntry]:
             except ValueError:
                 raise ManifestError(f"{where}: bad condition_id {row['condition_id']!r}") from None
             key = os.path.normpath(row["output_path"])
+            if os.path.isabs(key) or key.split(os.sep)[0] == os.pardir:
+                raise ManifestError(
+                    f"{where}: output_path {row['output_path']!r} is outside the corpus"
+                )
             if key in seen:
                 raise ManifestError(f"{where}: repeated output_path {row['output_path']!r}")
             seen.add(key)
@@ -450,37 +474,6 @@ def verified_files(
     caller gets at that file's position. The thread only opens, reads and
     hashes; it has ended once the stream is exhausted, has failed or is closed.
     """
-    # imported here so that importing the CLI does not pay for them
-    import queue
-    import threading
-
     root = str(Path(corpus_dir))
-    files = queue.Queue(READ_AHEAD_FILES)
-    stop = threading.Event()
-
-    def read_ahead() -> None:
-        for e in entries:
-            if stop.is_set():
-                return
-            try:
-                item = e, _verified(root, e, keep=True)
-            except BaseException as exc:  # raised again in the caller, at this entry
-                files.put(exc)
-                return
-            files.put(item)
-        files.put(None)
-
-    reader = threading.Thread(target=read_ahead, name="asibench-reader", daemon=True)
-    reader.start()
-    try:
-        while (item := files.get()) is not None:
-            if isinstance(item, BaseException):
-                raise item
-            yield item
-    finally:
-        # once stopped, the thread puts at most one more file and the end mark,
-        # and a drained queue has room for both
-        stop.set()
-        while not files.empty():
-            files.get_nowait()
-        reader.join()
+    return _ahead(((e, _verified(root, e, keep=True)) for e in entries), READ_AHEAD_FILES,
+                  "asibench-reader")

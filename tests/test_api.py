@@ -87,6 +87,25 @@ def test_only_the_table_reader_reads_csv():
     assert {name: found for name, found in readers.items() if found} == {}
 
 
+def thread_and_queue_constructions(source: str) -> list[str]:
+    """Each ``threading.Thread`` and ``queue.Queue`` that ``source`` constructs or imports."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            name = ast.unparse(node.func)
+            if name in ("threading.Thread", "queue.Queue"):
+                found.append(name)
+        elif isinstance(node, ast.ImportFrom) and node.module in ("threading", "queue"):
+            found += [a.name for a in node.names if a.name in ("Thread", "Queue")]
+    return found
+
+
+def test_the_registry_has_one_background_stream():
+    # perturb's writes and evaluate's reads share registry._ahead: one thread, one queue
+    source = (Path(asibench.__file__).parent / "registry.py").read_text(encoding="utf-8")
+    assert sorted(thread_and_queue_constructions(source)) == ["queue.Queue", "threading.Thread"]
+
+
 # Runs in a fresh interpreter: what `import asibench.cli` and the light commands load,
 # and what each public name of the package resolves to.
 IMPORT_PROBE = """\

@@ -1,5 +1,6 @@
 import builtins
 import io
+import re
 import shlex
 import sys
 import textwrap
@@ -21,7 +22,7 @@ from asibench.harness import (
     evaluate,
     make_adapter,
 )
-from asibench.registry import materialize, read_manifest
+from asibench.registry import MANIFEST_NAME, materialize, read_manifest
 from test_registry import tiny_registry
 
 
@@ -498,6 +499,26 @@ class TestPredictionsFileAdapter:
         assert all(acc == 100.0 for acc in series.accuracies())
         series = evaluate(PredictionsFileAdapter(pred), corpus)
         assert all(acc == 100.0 for acc in series.accuracies())
+
+    def test_keys_are_normalized_manifest_paths(self, tmp_path, corpus):
+        # the schema keys predictions by the manifest's output_path, spelled as it is there
+        manifest = corpus / MANIFEST_NAME
+        manifest.write_text(manifest.read_text().replace("/", "/./"))
+        entries = read_manifest(corpus)
+        assert all("/./" in e.output_path for e in entries)
+        pred = tmp_path / "pred.csv"
+        pred.write_text(
+            "path,label\n" + "".join(f"{e.output_path},{e.true_label}\n" for e in entries)
+        )
+        series = evaluate(PredictionsFileAdapter(pred), corpus)
+        assert all(acc == 100.0 for acc in series.accuracies())
+
+    def test_two_spellings_of_one_path_are_a_repeated_path(self, tmp_path):
+        pred = tmp_path / "pred.csv"
+        pred.write_text("path,label\ncond_000/a.pgm,a\ncond_000/./a.pgm,a\n")
+        expected = re.escape(f"{pred}: line 3: repeated path 'cond_000/./a.pgm'")
+        with pytest.raises(ParameterError, match=expected):
+            PredictionsFileAdapter(pred)
 
     def test_missing_prediction_raises(self, tmp_path):
         pred = tmp_path / "pred.csv"

@@ -263,6 +263,12 @@ class TestMaterialize:
          "repeated output_path 'cond_000/dark_00.pgm'"),
         ("0,clean,dark_00.pgm,cond_000/./dark_00.pgm,dark,00",
          "repeated output_path 'cond_000/./dark_00.pgm'"),
+        ("0,clean,dark_00.pgm,/abs/secret.bin,dark,00",
+         "output_path '/abs/secret.bin' is outside the corpus"),
+        ("0,clean,dark_00.pgm,../secret.bin,dark,00",
+         "output_path '../secret.bin' is outside the corpus"),
+        ("0,clean,dark_00.pgm,cond_000/../../secret.bin,dark,00",
+         "output_path 'cond_000/../../secret.bin' is outside the corpus"),
     ])
     def test_malformed_manifest_row_names_the_line(self, tmp_path, small_corpus, row, message):
         materialize(small_corpus[:2], tiny_registry(), 1, tmp_path)
@@ -369,6 +375,32 @@ class TestUnitsOfWork:
         assert isinstance(exc, IsADirectoryError)
         assert exc.filename == str(blocker)
         assert not (tmp_path / registry.MANIFEST_NAME).exists()
+
+    def test_work_after_a_write_failure_is_bounded(self, tmp_path, monkeypatch):
+        k = 5
+        fault = OSError(f"write fault on file {k}")
+        writes = itertools.count(1)
+        real_write, real_encode = registry._write_file, registry.netpbm_bytes
+        encoded = []
+
+        def failing_write(path, data):
+            if next(writes) == k:
+                raise fault
+            real_write(path, data)
+
+        def counting_encode(img):
+            encoded.append(img)
+            return real_encode(img)
+
+        monkeypatch.setattr(registry, "_write_file", failing_write)
+        monkeypatch.setattr(registry, "netpbm_bytes", counting_encode)
+        clean = synthetic_corpus(n_per_class=1, size=8)
+        reg = default_registry()
+        exc = _thread_count_kept(lambda: materialize(clean, reg, 0, tmp_path / "out"))
+        assert exc is fault
+        # the files taken, a full queue, and the one in hand when the stop came
+        assert len(encoded) <= k + registry.WRITE_BEHIND_FILES + 1
+        assert len(clean) * len(reg.conditions) > 2 * (k + registry.WRITE_BEHIND_FILES + 1)
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_kernel_error_propagates_unchanged(self, tmp_path, small_corpus, monkeypatch, jobs):
