@@ -17,11 +17,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import tables
+from . import registry, tables
 from .errors import AdapterError, ParameterError
 from .image import decode_netpbm
 from .metrics import AccuracySeries
-from .registry import ManifestEntry, read_manifest, verified_files, verify_manifest
+from .registry import ManifestEntry, read_manifest, verified_files
 
 __all__ = [
     "ToyClassifierAdapter",
@@ -30,6 +30,8 @@ __all__ = [
     "make_adapter",
     "evaluate",
 ]
+
+READ_AHEAD_FILES = 8  # verified files that may wait for the toy classifier to decode them
 
 
 class ToyClassifierAdapter:
@@ -96,12 +98,15 @@ class ToyClassifierAdapter:
         self._seen = {}
         root = str(root)
         clean, labels = [], []
-        for entry, data in files:
-            path = os.path.normpath(os.path.join(root, entry.output_path))
-            feat = self._seen[path] = self._features(data, path)
-            if entry.condition_id == 0:
-                clean.append(feat)
-                labels.append(entry.true_label)
+        # one background thread reads and checks the next files while these are decoded
+        ahead = registry._ahead(files, READ_AHEAD_FILES, "asibench-reader")
+        with contextlib.closing(ahead):
+            for entry, data in ahead:
+                path = os.path.normpath(os.path.join(root, entry.output_path))
+                feat = self._seen[path] = self._features(data, path)
+                if entry.condition_id == 0:
+                    clean.append(feat)
+                    labels.append(entry.true_label)
         if not self._centroids:
             if not clean:
                 raise AdapterError("corpus has no clean group (condition 0) to fit on")
@@ -139,6 +144,12 @@ class SubprocessAdapter:
     """
 
     def __init__(self, command: str):
+        try:
+            self._argv = shlex.split(command)
+        except ValueError as exc:
+            raise ParameterError(f"adapter spec {'subprocess:' + command!r}: {exc}") from None
+        if not self._argv:
+            raise ParameterError(f"adapter spec {'subprocess:' + command!r} names no command")
         self.command = command
         self._proc = None
         self._sending = False  # a predict_files call is under way
@@ -151,7 +162,7 @@ class SubprocessAdapter:
     def _ensure(self):
         if self._proc is None:
             self._proc = subprocess.Popen(
-                shlex.split(self.command),
+                self._argv,
                 stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE,
                 text=True,
@@ -183,6 +194,8 @@ class SubprocessAdapter:
         proc = self._ensure()
         lines = [os.path.abspath(p) + "\n" for p in paths]
         for path, line in zip(paths, lines):
+            if "\r" in line or "\n" in line[:-1]:
+                raise AdapterError(f"sending a path failed: {path!r}: it holds a line break")
             try:
                 line.encode(proc.stdin.encoding)
             except UnicodeEncodeError as exc:
@@ -298,36 +311,27 @@ def make_adapter(spec: str):
 def evaluate(adapter, corpus_dir: str | Path, classifier_id: str = "classifier") -> AccuracySeries:
     """Measure per-condition accuracy of an adapter over a materialized corpus.
 
-    Verifies every manifest checksum before any prediction. An adapter with a
-    ``start()`` method has it called once the manifest has been read, before
-    the checksums are verified, so that it can load meanwhile; it gets no
-    path until every file is verified. An adapter with a
-    ``prepare(root, files)`` method gets the resolved corpus root and
-    ``verified_files``: a stream of ``(manifest entry, file bytes)`` pairs in
-    manifest order, each file read once, at most ``READ_AHEAD_FILES`` ahead
-    of the hook on one background thread, and yielded only after its bytes
-    match its checksum. Whatever the hook leaves unread is verified after it
-    returns, and the thread has ended when ``evaluate`` returns or raises.
-    An adapter without one has the manifest verified from the paths alone.
-    The adapter then gets one ``predict_files`` call with every image path,
-    each the manifest path under the resolved corpus root, by condition id and
-    then in manifest order. Any non-matching response, including an empty one,
-    counts as incorrect.
+    Every file is checked against its manifest checksum, through
+    ``verified_files``, before any prediction. An adapter's ``start()``, if it
+    has one, is called once the manifest has been read, so that it can load
+    during the check; its ``prepare(root, files)``, if any, gets the resolved
+    corpus root and that stream of ``(manifest entry, file bytes)`` pairs, and
+    whatever it leaves unread is checked after it returns. Then one
+    ``predict_files`` call gets every image path, each the manifest path under
+    the resolved corpus root, by condition id and then in manifest order, and
+    must give one label per path. Any non-matching response, including an
+    empty one, counts as incorrect.
     """
     corpus_dir = Path(corpus_dir)
     entries = read_manifest(corpus_dir)
-    start = getattr(adapter, "start", None)
-    if start is not None:
-        start()
+    if hasattr(adapter, "start"):
+        adapter.start()
     root = corpus_dir.resolve()
-    prepare = getattr(adapter, "prepare", None)
-    if prepare is None:
-        verify_manifest(corpus_dir, entries)
-    else:
-        with contextlib.closing(verified_files(corpus_dir, entries)) as files:
-            prepare(root, files)
-            for _ in files:  # verify whatever the hook left unread
-                pass
+    with contextlib.closing(verified_files(corpus_dir, entries)) as files:
+        if hasattr(adapter, "prepare"):
+            adapter.prepare(root, files)
+        for _ in files:  # verify whatever the hook left unread
+            pass
 
     by_condition: dict[int, list[ManifestEntry]] = {}
     for e in entries:
@@ -335,6 +339,8 @@ def evaluate(adapter, corpus_dir: str | Path, classifier_id: str = "classifier")
     cond_ids = sorted(by_condition)
     ordered = [e for cond_id in cond_ids for e in by_condition[cond_id]]
     predicted = adapter.predict_files([root / e.output_path for e in ordered])
+    if len(predicted) != len(ordered):
+        raise AdapterError(f"adapter gave {len(predicted)} labels for {len(ordered)} images")
     correct = dict.fromkeys(cond_ids, 0)
     for e, label in zip(ordered, predicted):
         if label == e.true_label:

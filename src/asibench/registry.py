@@ -146,14 +146,12 @@ MANIFEST_NAME = "manifest.csv"
 CleanImage = Image | str | os.PathLike
 
 
-def _read_file(path: str | Path) -> bytes:
+def sha256_file(path: str | Path) -> tuple[bytes, str]:
+    """The file's bytes and their SHA-256 hex digest, from one open and one read."""
     # unbuffered: a buffered file adds an isatty call and a buffer that readall never uses
     with open(path, "rb", buffering=0) as fh:
-        return fh.readall()
-
-
-def sha256_file(path: str | Path) -> str:
-    return hashlib.sha256(_read_file(path)).hexdigest()
+        data = fh.readall()
+    return data, hashlib.sha256(data).hexdigest()
 
 
 WRITE_BEHIND_FILES = 32  # computed files that may wait for the calling thread to write them
@@ -355,7 +353,8 @@ def materialize(
     re-encoding of the clean images; every other group applies the
     condition's step sequence with sub-seed derive_seed(seed, condition_id,
     image_index). Output bytes depend only on (clean, registry, seed). A
-    filename that repeats or is not a plain file name fails before any write.
+    filename that repeats or is not a plain file name, or an empty label,
+    fails before any write.
 
     The work goes one clean image at a time: each image is rotated once per
     distinct first-step angle, then every condition is finished from there,
@@ -372,11 +371,13 @@ def materialize(
     if jobs < 1:
         raise ParameterError(f"jobs must be >= 1, got {jobs}")
     seen = set()
-    for name, _, _ in clean:
+    for name, true_label, _ in clean:
         if name in ("", ".", "..") or os.path.basename(name) != name:
             raise ParameterError(f"clean image name {name!r} is not a plain file name")
         if name in seen:
             raise ParameterError(f"clean image name {name!r} is repeated")
+        if not true_label:
+            raise ParameterError(f"clean image {name!r} has an empty label")
         seen.add(name)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -419,6 +420,8 @@ def read_manifest(corpus_dir: str | Path) -> list[ManifestEntry]:
                 )
             if key in seen:
                 raise ManifestError(f"{where}: repeated output_path {row['output_path']!r}")
+            if not row["true_label"]:
+                raise ManifestError(f"{where}: empty true_label")
             seen.add(key)
             entries.append(ManifestEntry(**row))  # the keys are MANIFEST_FIELDS
     if not entries:
@@ -430,21 +433,16 @@ def read_manifest(corpus_dir: str | Path) -> list[ManifestEntry]:
 _MISSING = (FileNotFoundError, IsADirectoryError, NotADirectoryError)
 
 
-def _verified(root: str, entry: ManifestEntry, keep: bool) -> bytes | None:
-    """Check the entry's file with one open and one read; return its bytes if ``keep``.
+def _verified(root: str, entry: ManifestEntry) -> bytes:
+    """Check the entry's file against its checksum; return the bytes that were hashed.
 
-    A file that is missing, a directory, or under a plain file where a
-    directory should be is a missing corpus file. Without ``keep`` the file
-    goes through ``sha256_file``, looked up on every call so that a wrapper
-    of it sees each file.
+    The file goes through ``sha256_file``, looked up on every call so that a
+    wrapper of it sees each file. A missing file, a directory, or a path
+    under a plain file is a missing corpus file.
     """
     path = os.path.join(root, entry.output_path)
     try:
-        if keep:
-            data = _read_file(path)
-            digest = hashlib.sha256(data).hexdigest()
-        else:
-            data, digest = None, sha256_file(path)
+        data, digest = sha256_file(path)
     except _MISSING:
         raise ManifestError(f"missing corpus file: {path}") from None
     if digest != entry.checksum:
@@ -452,28 +450,15 @@ def _verified(root: str, entry: ManifestEntry, keep: bool) -> bytes | None:
     return data
 
 
-def verify_manifest(corpus_dir: str | Path, entries: list[ManifestEntry]) -> None:
-    """Abort with ManifestError on the first missing or altered file."""
-    root = str(Path(corpus_dir))
-    for e in entries:
-        _verified(root, e, keep=False)
-
-
-READ_AHEAD_FILES = 8  # verified files that may wait for the caller
-
-
 def verified_files(
     corpus_dir: str | Path, entries: list[ManifestEntry]
 ) -> Iterator[tuple[ManifestEntry, bytes]]:
     """Yield each entry with its file's bytes, read once and matched to its checksum.
 
-    Fails like ``verify_manifest``, on the first missing or altered file; the
-    bytes yielded are the bytes that were hashed. From the first ``next``, one
-    background thread reads and hashes up to ``READ_AHEAD_FILES`` files ahead
-    of the caller, in manifest order, and stops at the first error, which the
-    caller gets at that file's position. The thread only opens, reads and
-    hashes; it has ended once the stream is exhausted, has failed or is closed.
+    A generator: each file is read and hashed, in manifest order, on the
+    thread that pulls it, and the bytes yielded are the bytes that were
+    hashed. The first missing or altered file raises ``ManifestError`` at its
+    position, and no later file is read.
     """
     root = str(Path(corpus_dir))
-    return _ahead(((e, _verified(root, e, keep=True)) for e in entries), READ_AHEAD_FILES,
-                  "asibench-reader")
+    return ((e, _verified(root, e)) for e in entries)

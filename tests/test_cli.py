@@ -243,8 +243,11 @@ class TestPerturb:
 
 
 class TestPerturbMemory:
-    def test_peak_does_not_grow_with_the_clean_corpus(self, tmp_path):
+    def test_peak_does_not_grow_with_the_clean_corpus(self, tmp_path, monkeypatch):
         """perturb's traced peak, read through the CLI's corpus reader, is flat in the corpus size."""
+        # each peak holds the encoded files waiting to be written; with one at most,
+        # thread timing cannot make the two peaks hold different numbers of them
+        monkeypatch.setattr(registry, "WRITE_BEHIND_FILES", 1)
         size = 128
         corpus = synthetic_corpus(n_per_class=6, size=size)
         reg = registry.default_registry()
@@ -399,6 +402,21 @@ class TestEvaluateAndScore:
             return "subprocess:" + shlex.join([sys.executable, str(script)])
         return kind
 
+    @pytest.mark.parametrize("command,message", [
+        ("", "adapter spec 'subprocess:' names no command"),
+        ("'abc", "adapter spec \"subprocess:'abc\": No closing quotation"),
+    ])
+    def test_a_bad_subprocess_command_exits_1_before_the_manifest_is_read(
+        self, runner, tmp_path, command, message
+    ):
+        result = runner.invoke(main, [
+            "evaluate", "--corpus", str(tmp_path / "absent"), "--adapter", f"subprocess:{command}",
+            "--out", str(tmp_path / "acc.csv"),
+        ])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output == f"error: {message}\n"
+
     @pytest.mark.parametrize("adapter", ["toy", "file", "subprocess"])
     def test_corrupted_last_file_exits_1_before_any_prediction(
         self, runner, materialized, tmp_path, adapter
@@ -531,16 +549,17 @@ class TestEvaluateAndScore:
         entries = read_manifest(materialized)
         received = tmp_path / "received.txt"
         spawned = spy_on_spawns(monkeypatch)
-        verify_manifest = harness.verify_manifest
+        verified_files = harness.verified_files
         verified = []
 
         def checked_order(corpus_dir, manifest_entries):
+            # runs from the first file pulled to the last
             assert len(spawned) == 1 and spawned[0].poll() is None  # started, still running
-            verify_manifest(corpus_dir, manifest_entries)
+            yield from verified_files(corpus_dir, manifest_entries)
             assert not received.exists() or received.read_text() == ""
             verified.append(True)
 
-        monkeypatch.setattr(harness, "verify_manifest", checked_order)
+        monkeypatch.setattr(harness, "verified_files", checked_order)
         result = runner.invoke(main, [
             "evaluate", "--corpus", str(materialized),
             "--adapter", self._adapter_spec("subprocess", entries, tmp_path, received),
@@ -552,11 +571,11 @@ class TestEvaluateAndScore:
         assert len(received.read_text().splitlines()) == len(entries)
 
     @pytest.mark.parametrize("adapter", ["toy", "file", "subprocess"])
-    def test_path_only_adapters_hash_each_file_through_sha256_file(
+    def test_every_adapter_hashes_each_file_through_sha256_file(
         self, runner, materialized, tmp_path, adapter, monkeypatch
     ):
         # the benchmark's tracer counts the files evaluate reads by wrapping this name;
-        # an adapter with a prepare hook is handed the bytes that were hashed instead
+        # a prepare hook is handed the bytes that were hashed, so no file is read twice
         entries = read_manifest(materialized)
         hashed = []
         sha256_file = registry.sha256_file
@@ -572,10 +591,7 @@ class TestEvaluateAndScore:
             "--out", str(tmp_path / "acc.csv"),
         ])
         assert result.exit_code == 0, result.output
-        if adapter == "subprocess":
-            assert hashed == [materialized / e.output_path for e in entries]
-        else:
-            assert hashed == []
+        assert hashed == [materialized / e.output_path for e in entries]
 
     @pytest.mark.parametrize("message", ["repeated path", "expected 2 fields"])
     def test_bad_predictions_file_row_exits_1(self, runner, materialized, tmp_path, message):

@@ -91,6 +91,25 @@ class TestEvaluate:
         series = evaluate(FixedAdapter(labels), corpus)
         assert all(acc == 0.0 for acc in series.accuracies())
 
+    @pytest.mark.parametrize("extra", [-90, -1, 1])
+    def test_a_label_count_other_than_the_path_count_is_an_adapter_error(self, corpus, extra):
+        class Miscounting(FixedAdapter):
+            def predict_files(self, paths):
+                return ["dark"] * (len(paths) + extra)
+
+        assert len(read_manifest(corpus)) == 90
+        with pytest.raises(AdapterError,
+                           match=f"^adapter gave {90 + extra} labels for 90 images$"):
+            evaluate(Miscounting({}), corpus)
+
+    def test_an_empty_true_label_is_refused_before_any_prediction(self, corpus):
+        manifest = corpus / MANIFEST_NAME
+        lines = manifest.read_text().splitlines()
+        lines[1] = lines[1].replace(",dark,", ",,")
+        manifest.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ManifestError, match=re.escape(f"{manifest}: line 2: empty true_label")):
+            evaluate(FixedAdapter({}), corpus)
+
     def test_a_prepare_that_raises_midway_leaves_no_reader_behind(self, corpus):
         class FailingPrepare(FixedAdapter):
             def prepare(self, root, files):
@@ -393,6 +412,38 @@ class TestSubprocessAdapter:
         assert isinstance(error, AdapterError) and "sending a path failed" in str(error)
         # a child that was sent nothing is killed at close, maybe before it made its log
         assert not received.exists() or received.read_bytes() == b""
+
+    @pytest.mark.parametrize("line_break", ["\n", "\r"])
+    def test_a_path_with_a_line_break_is_refused_before_any_path_is_sent(
+        self, tmp_path, small_corpus, line_break
+    ):
+        # the oracle's answers would shift by one, and the corpus would score wrong
+        corpus = tmp_path / "corpus"
+        clean = [(f"dark{line_break}x_00.pgm", "dark", small_corpus[0][2])] + small_corpus[10:12]
+        materialize(clean, tiny_registry(), 5, corpus)
+        received = tmp_path / "received.bin"
+        adapter = child_adapter(tmp_path, f"""\
+            import sys
+            with open({str(received)!r}, "wb") as log:
+                for line in sys.stdin.buffer:
+                    log.write(line)
+                    print(line.decode().rsplit("/", 1)[-1].split("_")[0], flush=True)
+        """)
+        try:
+            with pytest.raises(AdapterError, match="sending a path failed: .*holds a line break"):
+                evaluate(adapter, corpus)
+        finally:
+            adapter.close()
+        assert not received.exists() or received.read_bytes() == b""
+
+    @pytest.mark.parametrize("command,message", [
+        ("", "adapter spec 'subprocess:' names no command"),
+        ("  ", "adapter spec 'subprocess:  ' names no command"),
+        ("'abc", "adapter spec \"subprocess:'abc\": No closing quotation"),
+    ])
+    def test_an_empty_or_unparsable_command_is_a_parameter_error(self, command, message):
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            make_adapter(f"subprocess:{command}")
 
     def test_every_answer_goes_through_predict_file(self, tmp_path, corpus, monkeypatch):
         # the benchmark's tracer counts and times predict_file calls by name

@@ -14,7 +14,7 @@ import pytest
 from asibench.errors import ManifestError, ParameterError, RegistryError
 from asibench.image import Image, read_netpbm, write_netpbm, netpbm_bytes
 from asibench import image as image_module
-from asibench import perturb, registry
+from asibench import harness, perturb, registry
 from asibench.perturb import Kind, apply_sequence, derive_seed
 from asibench.registry import (
     Condition,
@@ -23,9 +23,7 @@ from asibench.registry import (
     load_registry,
     materialize,
     read_manifest,
-    sha256_file,
     verified_files,
-    verify_manifest,
 )
 from conftest import leave_no_plain_file, synthetic_corpus, write_clean_corpus
 
@@ -135,7 +133,7 @@ class TestMaterialize:
             assert len(list(group.glob("*.pgm"))) == 10
         back = read_manifest(tmp_path)
         assert back == entries
-        verify_manifest(tmp_path, back)
+        assert [e for e, _ in verified_files(tmp_path, back)] == entries
 
     def test_clean_group_byte_identical(self, tmp_path, small_corpus):
         clean = small_corpus[:5]
@@ -205,13 +203,22 @@ class TestMaterialize:
         with pytest.raises(ParameterError):
             materialize([], tiny_registry(), 0, tmp_path)
 
+    def test_an_empty_label_fails_before_any_write(self, tmp_path, small_corpus):
+        clean = list(small_corpus[:3])
+        name, _, img = clean[2]
+        clean[2] = (name, "", img)
+        with pytest.raises(ParameterError,
+                           match=re.escape(f"clean image {name!r} has an empty label")):
+            materialize(clean, tiny_registry(), 0, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
     def test_checksum_verification_catches_tampering(self, tmp_path, small_corpus):
         materialize(small_corpus[:4], tiny_registry(), 1, tmp_path)
         entries = read_manifest(tmp_path)
         victim = tmp_path / entries[0].output_path
         victim.write_bytes(victim.read_bytes()[:-1] + b"\x00")
         with pytest.raises(ManifestError, match="checksum"):
-            verify_manifest(tmp_path, entries)
+            list(verified_files(tmp_path, entries))
 
     def test_verified_files_yields_the_hashed_bytes_in_order(self, tmp_path, small_corpus):
         entries = materialize(small_corpus[:4], tiny_registry(), 1, tmp_path)
@@ -223,18 +230,26 @@ class TestMaterialize:
         (lambda path: path.unlink(), "missing corpus file"),
         (lambda path: path.write_bytes(path.read_bytes() + b"\0"), "checksum mismatch"),
     ])
-    def test_verified_files_fails_like_verify_manifest(
-        self, tmp_path, small_corpus, damage, message
+    def test_verified_files_stops_at_the_first_damaged_file(
+        self, tmp_path, small_corpus, damage, message, monkeypatch
     ):
         entries = materialize(small_corpus[:4], tiny_registry(), 1, tmp_path)
         victim = tmp_path / entries[5].output_path
         damage(victim)
-        with pytest.raises(ManifestError, match=re.escape(f"{message}: {victim}") + "$"):
-            verify_manifest(tmp_path, entries)
+        read = []
+        sha256_file = registry.sha256_file
+
+        def logged(path):
+            read.append(path)
+            return sha256_file(path)
+
+        monkeypatch.setattr(registry, "sha256_file", logged)
         stream = verified_files(tmp_path, entries)
         assert [e for e, _ in itertools.islice(stream, 5)] == entries[:5]
         with pytest.raises(ManifestError, match=re.escape(f"{message}: {victim}") + "$"):
             next(stream)
+        assert list(stream) == []
+        assert read == [str(tmp_path / e.output_path) for e in entries[:6]]
 
     @pytest.mark.parametrize("damage", ["directory", "group_is_a_file"])
     def test_a_path_with_no_plain_file_is_a_missing_corpus_file(
@@ -244,8 +259,6 @@ class TestMaterialize:
         victim = tmp_path / entries[4].output_path  # the first file of cond_001
         leave_no_plain_file(victim, damage)
         expected = re.escape(f"missing corpus file: {victim}") + "$"
-        with pytest.raises(ManifestError, match=expected):
-            verify_manifest(tmp_path, entries)
         with pytest.raises(ManifestError, match=expected):
             list(verified_files(tmp_path, entries))
 
@@ -269,6 +282,7 @@ class TestMaterialize:
          "output_path '../secret.bin' is outside the corpus"),
         ("0,clean,dark_00.pgm,cond_000/../../secret.bin,dark,00",
          "output_path 'cond_000/../../secret.bin' is outside the corpus"),
+        ("2,SP0.2,a.pgm,cond_002/a.pgm,,00", "empty true_label"),
     ])
     def test_malformed_manifest_row_names_the_line(self, tmp_path, small_corpus, row, message):
         materialize(small_corpus[:2], tiny_registry(), 1, tmp_path)
@@ -528,25 +542,24 @@ class TestCleanImagesByPath:
 
 
 class TestReadAhead:
-    """verified_files reads and hashes ahead of its caller on one background thread."""
+    """The toy's read-ahead, _ahead over verified_files, reads and hashes on one thread."""
 
     @pytest.fixture
     def corpus(self, tmp_path, small_corpus):
         entries = materialize(small_corpus[:6], tiny_registry(), 1, tmp_path)
-        assert len(entries) > 2 * registry.READ_AHEAD_FILES  # the queue fills
+        assert len(entries) > 2 * harness.READ_AHEAD_FILES  # the queue fills
         return tmp_path, entries
 
     @staticmethod
-    def sequential(root, entries):
-        """The stream without a thread: _verified on each entry, stopping at the first error."""
-        for e in entries:
-            yield e, registry._verified(str(root), e, keep=True)
+    def ahead(root, entries):
+        return registry._ahead(verified_files(root, entries), harness.READ_AHEAD_FILES,
+                               "asibench-reader")
 
     @pytest.mark.parametrize("damaged", [None, "missing", "altered"])
     def test_the_stream_equals_a_sequential_check_under_constant_switching(self, corpus,
                                                                            damaged):
         root, entries = corpus
-        victim = root / entries[registry.READ_AHEAD_FILES + 3].output_path
+        victim = root / entries[harness.READ_AHEAD_FILES + 3].output_path
         if damaged == "missing":
             victim.unlink()
         elif damaged == "altered":
@@ -561,13 +574,13 @@ class TestReadAhead:
                 return pairs, str(exc)
             return pairs, None
 
-        expected = outcome(self.sequential(root, entries))
+        expected = outcome(verified_files(root, entries))
         assert (expected[1] is None) == (damaged is None)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # switch between the caller and the reader often
         try:
             for _ in range(5):
-                assert outcome(verified_files(root, entries)) == expected
+                assert outcome(self.ahead(root, entries)) == expected
         finally:
             sys.setswitchinterval(interval)
 
@@ -579,17 +592,17 @@ class TestReadAhead:
         reads = []
         real_verified = registry._verified
 
-        def counting_verified(root, entry, keep):
+        def counting_verified(root, entry):
             reads.append(entry)
-            return real_verified(root, entry, keep)
+            return real_verified(root, entry)
 
         monkeypatch.setattr(registry, "_verified", counting_verified)
         before = threading.active_count()
-        stream = verified_files(root, entries)
+        stream = self.ahead(root, entries)
         assert threading.active_count() == before  # nothing runs before the first next
         next(stream)
         # the file taken, a full queue, and one more file waiting for room
-        full = registry.READ_AHEAD_FILES + 2
+        full = harness.READ_AHEAD_FILES + 2
         deadline = time.monotonic() + 30
         while len(reads) < full and time.monotonic() < deadline:
             time.sleep(0.001)
