@@ -9,6 +9,7 @@ from the explicit --seed flag. Exit codes: 0 success, 1 validation error,
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import sys
@@ -152,11 +153,12 @@ SCORE_HEADER = "classifier,cv,mean,asi"
 
 
 def _write_score_table(rows, out):
-    out.write(SCORE_HEADER + "\n")
+    # quoted as the accuracy table quotes it, so any id reads back as one cell
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(SCORE_HEADER.split(","))
     for s in rows:
-        out.write(
-            f"{s.classifier_id},{s.cv_percent:.3f},{s.mean_accuracy_percent:.3f},{s.asi:.3f}\n"
-        )
+        writer.writerow([s.classifier_id, f"{s.cv_percent:.3f}",
+                         f"{s.mean_accuracy_percent:.3f}", f"{s.asi:.3f}"])
 
 
 @main.command("score")

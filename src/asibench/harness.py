@@ -21,7 +21,7 @@ from . import registry, tables
 from .errors import AdapterError, ParameterError
 from .image import decode_netpbm
 from .metrics import AccuracySeries
-from .registry import ManifestEntry, read_manifest, verified_files
+from .registry import read_manifest, verified_files
 
 __all__ = [
     "ToyClassifierAdapter",
@@ -37,17 +37,15 @@ READ_AHEAD_FILES = 8  # verified files that may wait for the toy classifier to d
 class ToyClassifierAdapter:
     """Nearest-centroid classifier over per-channel pixel mean and standard deviation.
 
-    Fit on the clean group of the corpus being evaluated; deterministic, no
-    learned randomness. Ties break toward the lexicographically smallest label.
+    ``predict`` fits on the clean group of the corpus being evaluated, unless
+    already fitted; deterministic, no learned randomness. Ties break toward
+    the lexicographically smallest label.
     """
 
     def __init__(self):
         self._labels: list[str] = []  # sorted once, at fit
         self._centroids: list[np.ndarray] = []  # one per label, in that order
         self._channels = 0  # of the images fitted on or seen so far
-        # features of the last prepared corpus, by normalized path string: a str
-        # hashes and joins several times faster than a Path
-        self._seen: dict[str, np.ndarray] = {}
         self._scratch = np.empty(0)  # float64 pixels, grown to the largest image
 
     def fit(self, features: list[np.ndarray], labels: list[str]) -> None:
@@ -91,19 +89,18 @@ class ToyClassifierAdapter:
         np.sqrt(std, out=std)
         return feat
 
-    def prepare(self, root: Path, files) -> None:
-        """Compute every image's features from its verified bytes; fit on condition 0 if unfitted."""
+    def predict(self, root: Path, files) -> list[str]:
+        """Label every image from its verified bytes, fitting on condition 0 first if unfitted."""
         if not self._centroids:
             self._channels = 0
-        self._seen = {}
-        root = str(root)
-        clean, labels = [], []
+        root = os.fspath(root)
+        features, clean, labels = [], [], []
         # one background thread reads and checks the next files while these are decoded
         ahead = registry._ahead(files, READ_AHEAD_FILES, "asibench-reader")
         with contextlib.closing(ahead):
             for entry, data in ahead:
-                path = os.path.normpath(os.path.join(root, entry.output_path))
-                feat = self._seen[path] = self._features(data, path)
+                feat = self._features(data, os.path.join(root, entry.output_path))
+                features.append(feat)
                 if entry.condition_id == 0:
                     clean.append(feat)
                     labels.append(entry.true_label)
@@ -111,18 +108,12 @@ class ToyClassifierAdapter:
             if not clean:
                 raise AdapterError("corpus has no clean group (condition 0) to fit on")
             self.fit(clean, labels)
+        return [self.predict_file(feat) for feat in features]
 
-    def predict_file(self, path: Path) -> str:
-        if not self._centroids:
-            raise AdapterError("toy classifier used before fitting")
-        feat = self._seen.get(os.path.normpath(os.fspath(path)))
-        if feat is None:
-            feat = self._features(Path(path).read_bytes(), path)
+    def predict_file(self, feat: np.ndarray) -> str:
+        """The label of the nearest centroid to one image's features."""
         distances = [float(np.linalg.norm(feat - c)) for c in self._centroids]
         return self._labels[distances.index(min(distances))]
-
-    def predict_files(self, paths: list[Path]) -> list[str]:
-        return [self.predict_file(p) for p in paths]
 
     def close(self) -> None:
         pass
@@ -135,11 +126,12 @@ CLOSE_WAIT_S = 10.0
 class SubprocessAdapter:
     """Line-protocol adapter: write an absolute image path, read back a label.
 
-    One long-lived process per adapter, started by ``start`` or on first use
-    and never restarted; it answers one line per path, in request order,
-    flushing each line. ``predict_files`` hands every path to a writer thread
-    in one write, which the pipe paces, and each ``predict_file`` call reads
-    one answer. When an answer cannot be read, the process is killed at once,
+    One long-lived process per adapter, started on first use and never
+    restarted; ``predict`` starts it before checking the corpus, so that it
+    loads meanwhile, and sends no path until every file has been checked. It
+    answers one line per path, in request order, flushing each line.
+    ``predict_files`` hands every path to a writer thread in one write, which
+    the pipe paces, and each ``predict_file`` call reads one answer. When an answer cannot be read, the process is killed at once,
     and so is a process that ``close`` finds was never sent a path.
     """
 
@@ -154,10 +146,6 @@ class SubprocessAdapter:
         self._proc = None
         self._sending = False  # a predict_files call is under way
         self._sent = False  # some path was handed to the process
-
-    def start(self) -> None:
-        """Start the process now, so that it loads while the caller does other work."""
-        self._ensure()
 
     def _ensure(self):
         if self._proc is None:
@@ -175,7 +163,7 @@ class SubprocessAdapter:
     def _exited(self) -> str:
         return f"adapter process {self.command!r} exited with status {self._proc.returncode}"
 
-    def predict_file(self, path: Path) -> str:
+    def predict_file(self, path: str) -> str:
         if not self._sending:
             return self.predict_files([path])[0]
         try:
@@ -189,7 +177,13 @@ class SubprocessAdapter:
             raise AdapterError(f"adapter process gave no response for {path}: {reason}")
         return line.rstrip("\n")
 
-    def predict_files(self, paths: list[Path]) -> list[str]:
+    def predict(self, root: Path, files) -> list[str]:
+        """Start the process, check every file, then send each one's path under ``root``."""
+        self._ensure()  # the process loads while the files are checked
+        paths = [os.path.join(root, e.output_path) for e, _ in files]
+        return self.predict_files(paths)
+
+    def predict_files(self, paths: list[str]) -> list[str]:
         """One label per path, in order; the paths are written without waiting for answers."""
         proc = self._ensure()
         lines = [os.path.abspath(p) + "\n" for p in paths]
@@ -266,7 +260,6 @@ class PredictionsFileAdapter:
     """
 
     def __init__(self, table_path: str | Path):
-        self._root: str | None = None  # the resolved root of the corpus being evaluated
         self._labels: dict[str, str] = {}  # by normalized path
         with open(table_path, newline="", encoding="utf-8") as fh:
             for where, row in tables.rows(fh, ["path", "label"], table_path, ParameterError):
@@ -275,23 +268,18 @@ class PredictionsFileAdapter:
                     raise ParameterError(f"{where}: repeated path {row['path']!r}")
                 self._labels[key] = row["label"]
 
-    def predict_file(self, path: Path) -> str:
-        # string work only: no call to the filesystem per path
-        if self._root is None:
-            key = os.path.normpath(path)
-        else:
-            key = os.path.relpath(path, self._root)
+    def predict(self, root: Path, files) -> list[str]:
+        """Check every file, then look up each entry's manifest path."""
+        entries = [e for e, _ in files]
+        return [self.predict_file(e.output_path) for e in entries]
+
+    def predict_file(self, path: str) -> str:
+        """The label recorded for one manifest path."""
+        key = os.path.normpath(path)
         label = self._labels.get(key)
         if label is None:
             raise AdapterError(f"no prediction recorded for {key}")
         return label
-
-    def prepare(self, root: Path, files) -> None:
-        """Keys are relative to the corpus being evaluated."""
-        self._root = os.fspath(root)
-
-    def predict_files(self, paths: list[Path]) -> list[str]:
-        return [self.predict_file(p) for p in paths]
 
     def close(self) -> None:
         pass
@@ -311,41 +299,29 @@ def make_adapter(spec: str):
 def evaluate(adapter, corpus_dir: str | Path, classifier_id: str = "classifier") -> AccuracySeries:
     """Measure per-condition accuracy of an adapter over a materialized corpus.
 
-    Every file is checked against its manifest checksum, through
-    ``verified_files``, before any prediction. An adapter's ``start()``, if it
-    has one, is called once the manifest has been read, so that it can load
-    during the check; its ``prepare(root, files)``, if any, gets the resolved
-    corpus root and that stream of ``(manifest entry, file bytes)`` pairs, and
-    whatever it leaves unread is checked after it returns. Then one
-    ``predict_files`` call gets every image path, each the manifest path under
-    the resolved corpus root, by condition id and then in manifest order, and
-    must give one label per path. Any non-matching response, including an
-    empty one, counts as incorrect.
+    The manifest entries are taken by condition id, then in manifest order.
+    In that order, one ``adapter.predict(root, files)`` call gets the
+    resolved corpus root and the ``verified_files`` stream of
+    ``(manifest entry, file bytes)`` pairs, and must give one label per
+    entry. Whatever the adapter leaves unread is checked after it returns,
+    so no accuracy is reported unless every file matched its manifest
+    checksum. Any non-matching label, including an empty one, counts as
+    incorrect.
     """
     corpus_dir = Path(corpus_dir)
-    entries = read_manifest(corpus_dir)
-    if hasattr(adapter, "start"):
-        adapter.start()
-    root = corpus_dir.resolve()
+    entries = sorted(read_manifest(corpus_dir), key=lambda e: e.condition_id)
     with contextlib.closing(verified_files(corpus_dir, entries)) as files:
-        if hasattr(adapter, "prepare"):
-            adapter.prepare(root, files)
-        for _ in files:  # verify whatever the hook left unread
+        predicted = adapter.predict(corpus_dir.resolve(), files)
+        for _ in files:  # verify whatever the adapter left unread
             pass
-
-    by_condition: dict[int, list[ManifestEntry]] = {}
-    for e in entries:
-        by_condition.setdefault(e.condition_id, []).append(e)
-    cond_ids = sorted(by_condition)
-    ordered = [e for cond_id in cond_ids for e in by_condition[cond_id]]
-    predicted = adapter.predict_files([root / e.output_path for e in ordered])
-    if len(predicted) != len(ordered):
-        raise AdapterError(f"adapter gave {len(predicted)} labels for {len(ordered)} images")
-    correct = dict.fromkeys(cond_ids, 0)
-    for e, label in zip(ordered, predicted):
-        if label == e.true_label:
-            correct[e.condition_id] += 1
+    if len(predicted) != len(entries):
+        raise AdapterError(f"adapter gave {len(predicted)} labels for {len(entries)} images")
+    correct: dict[int, int] = {}  # by condition id, ascending as the entries are
+    total: dict[int, int] = {}
+    for e, label in zip(entries, predicted):
+        c = e.condition_id
+        correct[c] = correct.get(c, 0) + (label == e.true_label)
+        total[c] = total.get(c, 0) + 1
     return AccuracySeries(
-        classifier_id,
-        tuple((c, 100.0 * correct[c] / len(by_condition[c])) for c in cond_ids),
+        classifier_id, tuple((c, 100.0 * correct[c] / total[c]) for c in total)
     )

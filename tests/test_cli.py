@@ -575,7 +575,7 @@ class TestEvaluateAndScore:
         self, runner, materialized, tmp_path, adapter, monkeypatch
     ):
         # the benchmark's tracer counts the files evaluate reads by wrapping this name;
-        # a prepare hook is handed the bytes that were hashed, so no file is read twice
+        # an adapter's predict is handed the bytes that were hashed, so no file is read twice
         entries = read_manifest(materialized)
         hashed = []
         sha256_file = registry.sha256_file
@@ -718,6 +718,29 @@ class TestCompare:
         assert result.exit_code == 0
         assert "+17.44" in result.output  # re-ingested rounding: 3 d.p. inputs
         assert "R4 preferred" in result.output
+
+    def test_ids_that_need_quoting_round_trip_through_score_report_and_compare(
+        self, runner, tmp_path
+    ):
+        ids = ["toy,v2", 'say "hi"', "two\nlines", "plain"]
+        table = tmp_path / "acc.csv"
+        metrics.save_accuracy_table([
+            metrics.AccuracySeries(cid, tuple(enumerate(series_with(80.0 + i, 1.0 + i))))
+            for i, cid in enumerate(ids)
+        ], table)
+        scores = tmp_path / "s.csv"
+        result = runner.invoke(main, ["score", "--table", str(table), "--out", str(scores)])
+        assert result.exit_code == 0, result.output
+        assert sorted(cli._read_score_table(scores)) == sorted(ids)
+        # an id that needs no quoting is written as it is
+        assert any(line.startswith("plain,") for line in scores.read_text().splitlines())
+        result = runner.invoke(main, ["report", "--scores", str(scores)])
+        assert result.exit_code == 0, result.output
+        assert all(cid in result.output for cid in ids)
+        for a, b in itertools.combinations(ids, 2):
+            result = runner.invoke(main, ["compare", "--scores", str(scores), a, b])
+            assert result.exit_code == 0, result.output
+            assert "verdict: " in result.output
 
 
 class TestScoreTableErrors:

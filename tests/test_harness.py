@@ -1,11 +1,13 @@
 import builtins
 import io
+import os
 import re
 import shlex
 import sys
 import textwrap
 import threading
 import time
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -22,21 +24,26 @@ from asibench.harness import (
     evaluate,
     make_adapter,
 )
-from asibench.registry import MANIFEST_NAME, materialize, read_manifest
+from asibench.metrics import save_accuracy_table
+from asibench.registry import (
+    MANIFEST_NAME,
+    default_registry,
+    load_registry,
+    materialize,
+    read_manifest,
+)
+from conftest import synthetic_corpus
 from test_registry import tiny_registry
 
 
 class FixedAdapter:
-    """Returns labels from a prebuilt path -> label mapping."""
+    """Returns labels from a prebuilt manifest output_path -> label mapping."""
 
     def __init__(self, labels):
         self.labels = labels
 
-    def predict_file(self, path):
-        return self.labels[str(path)]
-
-    def predict_files(self, paths):
-        return [self.predict_file(p) for p in paths]
+    def predict(self, root, files):
+        return [self.labels[e.output_path] for e, _ in files]
 
     def close(self):
         pass
@@ -50,25 +57,20 @@ def corpus(tmp_path, small_corpus):
 
 class TestEvaluate:
     def test_oracle_adapter_scores_100(self, corpus):
-        truth = {
-            str(corpus / e.output_path): e.true_label for e in read_manifest(corpus)
-        }
+        truth = {e.output_path: e.true_label for e in read_manifest(corpus)}
         series = evaluate(FixedAdapter(truth), corpus, classifier_id="oracle")
         assert all(acc == 100.0 for acc in series.accuracies())
         assert len(series.entries) == 3
 
     def test_adversary_adapter_scores_0(self, corpus):
-        wrong = {
-            str(corpus / e.output_path): "not-" + e.true_label
-            for e in read_manifest(corpus)
-        }
+        wrong = {e.output_path: "not-" + e.true_label for e in read_manifest(corpus)}
         series = evaluate(FixedAdapter(wrong), corpus)
         assert all(acc == 0.0 for acc in series.accuracies())
 
     def test_accuracy_granularity(self, corpus):
         # each group has 30 images: accuracies are multiples of 100/30
         entries = read_manifest(corpus)
-        labels = {str(corpus / e.output_path): e.true_label for e in entries}
+        labels = {e.output_path: e.true_label for e in entries}
         # flip a few answers
         for key in sorted(labels)[::7]:
             labels[key] = "wrong"
@@ -87,15 +89,15 @@ class TestEvaluate:
 
     def test_empty_response_counts_as_wrong(self, corpus):
         entries = read_manifest(corpus)
-        labels = {str(corpus / e.output_path): "" for e in entries}
+        labels = {e.output_path: "" for e in entries}
         series = evaluate(FixedAdapter(labels), corpus)
         assert all(acc == 0.0 for acc in series.accuracies())
 
     @pytest.mark.parametrize("extra", [-90, -1, 1])
     def test_a_label_count_other_than_the_path_count_is_an_adapter_error(self, corpus, extra):
         class Miscounting(FixedAdapter):
-            def predict_files(self, paths):
-                return ["dark"] * (len(paths) + extra)
+            def predict(self, root, files):
+                return ["dark"] * (len(list(files)) + extra)
 
         assert len(read_manifest(corpus)) == 90
         with pytest.raises(AdapterError,
@@ -110,19 +112,19 @@ class TestEvaluate:
         with pytest.raises(ManifestError, match=re.escape(f"{manifest}: line 2: empty true_label")):
             evaluate(FixedAdapter({}), corpus)
 
-    def test_a_prepare_that_raises_midway_leaves_no_reader_behind(self, corpus):
-        class FailingPrepare(FixedAdapter):
-            def prepare(self, root, files):
+    def test_a_predict_that_raises_midway_leaves_no_reader_behind(self, corpus):
+        class FailingPredict(FixedAdapter):
+            def predict(self, root, files):
                 next(files)
                 next(files)
-                raise RuntimeError("prepare failed midway")
+                raise RuntimeError("predict failed midway")
 
         before = threading.active_count()
         # the traceback held here keeps evaluate's frame, and the stream in it, alive
         with pytest.raises(RuntimeError) as failure:
-            evaluate(FailingPrepare({}), corpus)
+            evaluate(FailingPredict({}), corpus)
         assert threading.active_count() == before
-        assert str(failure.value) == "prepare failed midway"
+        assert str(failure.value) == "predict failed midway"
 
 
 def corrupt_last_entry(corpus):
@@ -170,7 +172,7 @@ class TestToyClassifierAdapter:
         files = {(corpus / e.output_path).resolve() for e in read_manifest(corpus)}
         assert {f: opened[f] for f in files} == dict.fromkeys(files, 1)
 
-    def test_a_second_spelling_of_a_path_is_answered_from_the_prepared_features(
+    def test_a_second_spelling_of_a_path_is_answered_from_its_verified_bytes(
         self, corpus, monkeypatch
     ):
         expected = evaluate(ToyClassifierAdapter(), corpus)
@@ -191,14 +193,6 @@ class TestToyClassifierAdapter:
         monkeypatch.setattr(io, "open", counting_open)
         assert evaluate(ToyClassifierAdapter(), corpus) == expected
         assert opened[(corpus / "cond_000" / "dark_00.pgm").resolve()] == 1
-
-    def test_predict_file_reads_a_path_it_has_not_seen(self, corpus):
-        adapter = ToyClassifierAdapter()
-        evaluate(adapter, corpus)
-        entries = read_manifest(corpus)
-        prepared = [adapter.predict_file(corpus.resolve() / e.output_path) for e in entries]
-        from_disk = [adapter.predict_file(str(corpus / e.output_path)) for e in entries]
-        assert prepared == from_disk
 
     def test_mixed_channel_counts_name_the_file(self, tmp_path, small_corpus):
         rgb = Image(np.full((16, 16, 3), 0.5))
@@ -460,7 +454,8 @@ class TestSubprocessAdapter:
             evaluate(adapter, corpus)
         finally:
             adapter.close()
-        assert seen == [corpus.resolve() / e.output_path for e in evaluation_order(corpus)]
+        root = str(corpus.resolve())
+        assert seen == [os.path.join(root, e.output_path) for e in evaluation_order(corpus)]
 
     def test_child_that_exits_is_not_restarted(self, tmp_path):
         pids = tmp_path / "pids.txt"
@@ -518,13 +513,99 @@ class TestSubprocessAdapter:
             time.sleep(30)
             sys.stdin.readline()
         """)
-        adapter.start()
-        proc = adapter._proc
+        proc = adapter._ensure()
         begun = time.monotonic()
         adapter.close()  # no TimeoutError: the child had nothing to finish
         assert time.monotonic() - begun < harness.CLOSE_WAIT_S / 4
         assert proc.returncode is not None
         assert proc.stdin.closed and proc.stdout.closed
+
+
+LOG_AND_ANSWER_X = """\
+    import sys
+    with open(sys.argv[1], "ab") as log:
+        for line in sys.stdin.buffer:
+            log.write(line)
+            print("x", flush=True)
+"""
+
+
+class TestEvaluationOrder:
+    """An adapter sees the entries by condition id, whatever the registry's order."""
+
+    @pytest.fixture()
+    def corpora(self, tmp_path, small_corpus):
+        steps = {1: "SP0.2 | SP 0.2 | -", 2: "GA0.1_ROT30 | GA 0.1 | ROT 30"}
+        made = {}
+        for order in [(1, 2), (2, 1)]:
+            text = "0 | clean | - | -\n" + "".join(f"{i} | {steps[i]}\n" for i in order)
+            made[order] = tmp_path / f"corpus_{order[0]}{order[1]}"
+            materialize(small_corpus, load_registry(text), 5, made[order])
+        return made
+
+    def test_the_registry_order_changes_only_the_manifest_order(self, corpora):
+        in_order, reversed_ = (read_manifest(c) for c in corpora.values())
+        assert [e.condition_id for e in reversed_] == [0] * 30 + [2] * 30 + [1] * 30
+        assert sorted(in_order, key=lambda e: e.condition_id) == sorted(
+            reversed_, key=lambda e: e.condition_id
+        )
+
+    @pytest.mark.parametrize("kind", ["toy", "subprocess"])
+    def test_both_orders_give_one_table(self, tmp_path, corpora, kind):
+        tables = []
+        for corpus in corpora.values():
+            log = corpus.with_suffix(".log")
+            adapter = (ToyClassifierAdapter() if kind == "toy"
+                       else child_adapter(tmp_path, LOG_AND_ANSWER_X, log))
+            try:
+                series = evaluate(adapter, corpus, classifier_id=kind)
+            finally:
+                adapter.close()
+            assert [c for c, _ in series.entries] == [0, 1, 2]
+            save_accuracy_table([series], corpus.with_suffix(".csv"))
+            tables.append(corpus.with_suffix(".csv").read_bytes())
+            if kind == "subprocess":
+                root = str(corpus.resolve())
+                assert log.read_text().splitlines() == [
+                    os.path.join(root, e.output_path) for e in evaluation_order(corpus)
+                ]
+        assert tables[0] == tables[1]
+
+
+ANSWER_X = """\
+    import sys
+    for line in sys.stdin:
+        print("x", flush=True)
+"""
+
+
+class TestEvaluateMemory:
+    @pytest.mark.parametrize("kind", ["toy", "subprocess"])
+    def test_peak_grows_under_1_kib_per_file(self, tmp_path, monkeypatch, kind):
+        """evaluate's traced peak grows by less than 1 KiB per corpus file."""
+        # each peak holds the files read ahead of the toy classifier; with one at most,
+        # thread timing cannot make the two peaks hold different numbers of them
+        monkeypatch.setattr(harness, "READ_AHEAD_FILES", 1)
+        clean = synthetic_corpus(n_per_class=8, size=16)
+        reg = default_registry()
+
+        def peak(n, tag):
+            corpus = tmp_path / tag
+            files = len(materialize(clean[:n], reg, 0, corpus, jobs=1))
+            adapter = ToyClassifierAdapter() if kind == "toy" else child_adapter(tmp_path, ANSWER_X)
+            tracemalloc.start()
+            try:
+                evaluate(adapter, corpus)
+                return files, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+                adapter.close()
+
+        peak(12, "warm")
+        (small, small_peak), (large, large_peak) = peak(12, "small"), peak(24, "large")
+        assert (small, large) == (828, 1656)
+        growth = (large_peak - small_peak) / (large - small)
+        assert growth < 1024, f"{growth:.0f} B more per corpus file"
 
 
 class TestPredictionsFileAdapter:
