@@ -41,6 +41,8 @@ def _guard(fn):
             return fn(*args, **kwargs)
         except (BenchmarkError, ValueError) as exc:
             _fail(EXIT_VALIDATION, str(exc))
+        except MemoryError as exc:  # e.g. a surface grid too large to allocate
+            _fail(EXIT_VALIDATION, str(exc) or "out of memory")
         except OSError as exc:
             _fail(EXIT_IO, str(exc))
 
@@ -153,12 +155,15 @@ SCORE_HEADER = "classifier,cv,mean,asi"
 
 
 def _write_score_table(rows, out):
-    # quoted as the accuracy table quotes it, so any id reads back as one cell
+    # quoted as the accuracy table quotes it, so any id reads back as one cell; csv
+    # quotes only the characters of the line terminator, so a bare \r quotes its row
     writer = csv.writer(out, lineterminator="\n")
+    quoted = csv.writer(out, lineterminator="\n", quoting=csv.QUOTE_ALL)
     writer.writerow(SCORE_HEADER.split(","))
     for s in rows:
-        writer.writerow([s.classifier_id, f"{s.cv_percent:.3f}",
-                         f"{s.mean_accuracy_percent:.3f}", f"{s.asi:.3f}"])
+        (quoted if "\r" in s.classifier_id else writer).writerow([
+            s.classifier_id, f"{s.cv_percent:.3f}", f"{s.mean_accuracy_percent:.3f}", f"{s.asi:.3f}"
+        ])
 
 
 @main.command("score")
@@ -192,6 +197,11 @@ def _score(cid: str, cv: float, mean: float, asi: float) -> metrics.BenchmarkSco
     return metrics.BenchmarkScore(
         classifier_id=cid, mean_accuracy_percent=mean, cv_percent=cv, asi=asi
     )
+
+
+def _shown(cid: str) -> str:
+    """A classifier id as one line of text: line breaks escaped, all else as it is."""
+    return cid.replace("\r", "\\r").replace("\n", "\\n")
 
 
 def _read_score_table(path: Path) -> dict[str, metrics.BenchmarkScore]:
@@ -243,7 +253,7 @@ def cmd_compare(baseline, other, scores_path, reference):
     else:
         winner, w = (baseline, a) if delta.asi_ordering == "a" else (other, b)
         loser, l = (other, b) if delta.asi_ordering == "a" else (baseline, a)
-        click.echo(f"verdict: {winner} preferred (ASI {w.asi:.3f} > {l.asi:.3f})")
+        click.echo(f"verdict: {_shown(winner)} preferred (ASI {w.asi:.3f} > {l.asi:.3f})")
 
 
 @main.command("surface")
@@ -281,7 +291,7 @@ def cmd_report(scores_path, out_path):
     for cid in sorted(scores):
         s = scores[cid]
         lines.append(
-            f"{cid:<28} {s.cv_percent:>8.3f} {s.mean_accuracy_percent:>9.3f} {s.asi:>7.3f}"
+            f"{_shown(cid):<28} {s.cv_percent:>8.3f} {s.mean_accuracy_percent:>9.3f} {s.asi:>7.3f}"
         )
     text = "\n".join(lines) + "\n"
     if out_path is None:

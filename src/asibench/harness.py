@@ -37,15 +37,15 @@ READ_AHEAD_FILES = 8  # verified files that may wait for the toy classifier to d
 class ToyClassifierAdapter:
     """Nearest-centroid classifier over per-channel pixel mean and standard deviation.
 
-    ``predict`` fits on the clean group of the corpus being evaluated, unless
-    already fitted; deterministic, no learned randomness. Ties break toward
-    the lexicographically smallest label.
+    Each ``predict`` call fits on the clean group (condition 0) of the corpus
+    it is given, then labels every image of it; deterministic, no learned
+    randomness. Ties break toward the lexicographically smallest label.
     """
 
     def __init__(self):
         self._labels: list[str] = []  # sorted once, at fit
         self._centroids: list[np.ndarray] = []  # one per label, in that order
-        self._channels = 0  # of the images fitted on or seen so far
+        self._channels = 0  # of the images of this corpus seen so far
         self._scratch = np.empty(0)  # float64 pixels, grown to the largest image
 
     def fit(self, features: list[np.ndarray], labels: list[str]) -> None:
@@ -55,7 +55,6 @@ class ToyClassifierAdapter:
             groups.setdefault(label, []).append(feat)
         self._labels = sorted(groups)
         self._centroids = [np.mean(groups[label], axis=0) for label in self._labels]
-        self._channels = self._centroids[0].size // 2
 
     def _features(self, data: bytes, path: str | Path) -> np.ndarray:
         """Per-channel mean and standard deviation of the decoded pixels / 255.
@@ -90,9 +89,8 @@ class ToyClassifierAdapter:
         return feat
 
     def predict(self, root: Path, files) -> list[str]:
-        """Label every image from its verified bytes, fitting on condition 0 first if unfitted."""
-        if not self._centroids:
-            self._channels = 0
+        """Fit on this corpus's condition 0, then label every image from its verified bytes."""
+        self._channels = 0
         root = os.fspath(root)
         features, clean, labels = [], [], []
         # one background thread reads and checks the next files while these are decoded
@@ -104,10 +102,9 @@ class ToyClassifierAdapter:
                 if entry.condition_id == 0:
                     clean.append(feat)
                     labels.append(entry.true_label)
-        if not self._centroids:
-            if not clean:
-                raise AdapterError("corpus has no clean group (condition 0) to fit on")
-            self.fit(clean, labels)
+        if not clean:
+            raise AdapterError("corpus has no clean group (condition 0) to fit on")
+        self.fit(clean, labels)
         return [self.predict_file(feat) for feat in features]
 
     def predict_file(self, feat: np.ndarray) -> str:
@@ -129,10 +126,11 @@ class SubprocessAdapter:
     One long-lived process per adapter, started on first use and never
     restarted; ``predict`` starts it before checking the corpus, so that it
     loads meanwhile, and sends no path until every file has been checked. It
-    answers one line per path, in request order, flushing each line.
-    ``predict_files`` hands every path to a writer thread in one write, which
-    the pipe paces, and each ``predict_file`` call reads one answer. When an answer cannot be read, the process is killed at once,
-    and so is a process that ``close`` finds was never sent a path.
+    answers one line per path, in request order, flushing each line. A writer
+    thread sends the paths without waiting for answers, which the pipe paces,
+    while ``predict_file`` reads one answer per path. When an answer cannot be
+    read, the process is killed at once, and so is a process that ``close``
+    finds was never sent a path.
     """
 
     def __init__(self, command: str):
@@ -144,17 +142,13 @@ class SubprocessAdapter:
             raise ParameterError(f"adapter spec {'subprocess:' + command!r} names no command")
         self.command = command
         self._proc = None
-        self._sending = False  # a predict_files call is under way
         self._sent = False  # some path was handed to the process
 
     def _ensure(self):
         if self._proc is None:
+            # not line-buffered: the writer thread flushes once it has written every path
             self._proc = subprocess.Popen(
-                self._argv,
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
-                text=True,
-                bufsize=1,
+                self._argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True
             )
         elif self._proc.poll() is not None:
             raise AdapterError(self._exited())
@@ -163,9 +157,55 @@ class SubprocessAdapter:
     def _exited(self) -> str:
         return f"adapter process {self.command!r} exited with status {self._proc.returncode}"
 
+    def predict(self, root: Path, files) -> list[str]:
+        """Start the process, check every file, then send each one's path under ``root``.
+
+        Every path is checked for a line break and for its encoding before the
+        first one is sent; the answers come back in order, one per path.
+        """
+        proc = self._ensure()  # the process loads while the files are checked
+        entries = [e for e, _ in files]
+        # read_manifest refuses absolute output paths, so base + path is os.path.join
+        base = os.path.join(root, "")
+        for e in entries:
+            path = base + e.output_path
+            if "\r" in path or "\n" in path:
+                raise AdapterError(f"sending a path failed: {path!r}: it holds a line break")
+            try:
+                path.encode(proc.stdin.encoding)
+            except UnicodeEncodeError as exc:
+                raise AdapterError(f"sending a path failed: {path}: {exc}") from None
+        writer = threading.Thread(
+            target=self._send, args=(proc.stdin, base, entries), daemon=True
+        )
+        self._sent = True
+        writer.start()
+        try:
+            return [self.predict_file(base + e.output_path) for e in entries]
+        except BaseException:
+            proc.kill()  # unblocks the writer; the process is never used again
+            raise
+        finally:
+            writer.join(CLOSE_WAIT_S)
+            if writer.is_alive():  # blocked on a process that stopped reading
+                proc.kill()
+                writer.join()
+
+    @staticmethod
+    def _send(stdin, base: str, entries) -> None:
+        try:
+            for e in entries:
+                stdin.write(os.path.abspath(base + e.output_path) + "\n")
+            stdin.flush()
+        except OSError:
+            pass  # the process stopped reading: predict_file reports why
+
     def predict_file(self, path: str) -> str:
-        if not self._sending:
-            return self.predict_files([path])[0]
+        """Read the answer to ``path``, which ``predict`` has already sent.
+
+        ``predict`` calls this once per image, so that a tracer wrapping it
+        times each answer.
+        """
         try:
             line = self._proc.stdout.readline()
         except UnicodeDecodeError as exc:
@@ -176,47 +216,6 @@ class SubprocessAdapter:
             reason = self._exited() if self._proc.poll() is not None else "it closed its output"
             raise AdapterError(f"adapter process gave no response for {path}: {reason}")
         return line.rstrip("\n")
-
-    def predict(self, root: Path, files) -> list[str]:
-        """Start the process, check every file, then send each one's path under ``root``."""
-        self._ensure()  # the process loads while the files are checked
-        paths = [os.path.join(root, e.output_path) for e, _ in files]
-        return self.predict_files(paths)
-
-    def predict_files(self, paths: list[str]) -> list[str]:
-        """One label per path, in order; the paths are written without waiting for answers."""
-        proc = self._ensure()
-        lines = [os.path.abspath(p) + "\n" for p in paths]
-        for path, line in zip(paths, lines):
-            if "\r" in line or "\n" in line[:-1]:
-                raise AdapterError(f"sending a path failed: {path!r}: it holds a line break")
-            try:
-                line.encode(proc.stdin.encoding)
-            except UnicodeEncodeError as exc:
-                raise AdapterError(f"sending a path failed: {path}: {exc}") from None
-        writer = threading.Thread(
-            target=self._send, args=(proc.stdin, "".join(lines)), daemon=True
-        )
-        self._sending = self._sent = True
-        writer.start()
-        try:
-            return [self.predict_file(p) for p in paths]
-        except BaseException:
-            proc.kill()  # unblocks the writer; the process is never used again
-            raise
-        finally:
-            self._sending = False
-            writer.join(CLOSE_WAIT_S)
-            if writer.is_alive():  # blocked on a process that stopped reading
-                proc.kill()
-                writer.join()
-
-    @staticmethod
-    def _send(stdin, text: str) -> None:
-        try:
-            stdin.write(text)
-        except OSError:
-            pass  # the process stopped reading: predict_file reports why
 
     def close(self) -> None:
         proc = self._proc

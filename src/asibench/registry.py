@@ -215,6 +215,11 @@ def _ahead(items: Iterable, size: int, name: str) -> Iterator:
         thread.join()
 
 
+def _group_dir(cond: Condition) -> str:
+    """The directory, relative to the corpus root, that holds one condition's images."""
+    return f"cond_{cond.id:03d}"
+
+
 def _image_files(
     clean: list[tuple[str, str, CleanImage]],
     indices: range,
@@ -251,7 +256,7 @@ def _image_files(
             if rest:
                 base = apply_sequence(base, rest, derive_seed(seed, cond.id, idx), start=skip)
             data = netpbm_bytes(base)
-            output_path = os.path.join(f"cond_{cond.id:03d}", name)
+            output_path = os.path.join(_group_dir(cond), name)
             yield os.path.join(out_dir, output_path), data, (pos, idx, ManifestEntry(
                 condition_id=cond.id,
                 condition_label=cond.label,
@@ -383,7 +388,7 @@ def materialize(
     out_dir.mkdir(parents=True, exist_ok=True)
     conditions = registry.conditions
     for cond in conditions:
-        (out_dir / f"cond_{cond.id:03d}").mkdir(exist_ok=True)
+        (out_dir / _group_dir(cond)).mkdir(exist_ok=True)
     # not capped by the image count: a run with fewer images than workers still
     # keeps every kernel, and the rotation plans it caches, out of this process
     workers = min(jobs, os.cpu_count() or 1)

@@ -722,7 +722,7 @@ class TestCompare:
     def test_ids_that_need_quoting_round_trip_through_score_report_and_compare(
         self, runner, tmp_path
     ):
-        ids = ["toy,v2", 'say "hi"', "two\nlines", "plain"]
+        ids = ["toy,v2", 'say "hi"', "two\nlines", "back\rhere", "plain"]
         table = tmp_path / "acc.csv"
         metrics.save_accuracy_table([
             metrics.AccuracySeries(cid, tuple(enumerate(series_with(80.0 + i, 1.0 + i))))
@@ -734,13 +734,20 @@ class TestCompare:
         assert sorted(cli._read_score_table(scores)) == sorted(ids)
         # an id that needs no quoting is written as it is
         assert any(line.startswith("plain,") for line in scores.read_text().splitlines())
+        # each id prints on one line, a line break in it escaped, every other id as it is
+        shown = dict(zip(ids, ["toy,v2", 'say "hi"', r"two\nlines", r"back\rhere", "plain"]))
         result = runner.invoke(main, ["report", "--scores", str(scores)])
         assert result.exit_code == 0, result.output
-        assert all(cid in result.output for cid in ids)
+        rows = result.output.splitlines()[2:]
+        assert sorted(row[:28].rstrip() for row in rows) == sorted(shown.values())
+        read = cli._read_score_table(scores)
         for a, b in itertools.combinations(ids, 2):
             result = runner.invoke(main, ["compare", "--scores", str(scores), a, b])
             assert result.exit_code == 0, result.output
-            assert "verdict: " in result.output
+            win, lose = sorted((a, b), key=lambda cid: read[cid].asi, reverse=True)
+            assert result.output.splitlines()[2:] == [
+                f"verdict: {shown[win]} preferred (ASI {read[win].asi:.3f} > {read[lose].asi:.3f})"
+            ]
 
 
 class TestScoreTableErrors:
@@ -851,6 +858,26 @@ class TestSurfaceCommand:
                                       "--mean-range", "0", "1.5e308", "--cv-range", "0", "0.5e308"])
         assert result.exit_code == 1
         assert "error: mean + cv overflows at the upper bounds" in result.output
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("message,shown", [
+        ("Unable to allocate 670. GiB for an array with shape (300000, 300000)",
+         "Unable to allocate 670. GiB for an array with shape (300000, 300000)"),
+        ("", "out of memory"),
+    ])
+    def test_a_grid_too_large_to_allocate_exits_1(
+        self, runner, tmp_path, monkeypatch, message, shown
+    ):
+        # a real request could succeed where memory is overcommitted, then get the run killed
+        def too_large(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(surface, "surface_grid", too_large)
+        out = tmp_path / "grid.csv"
+        result = runner.invoke(main, ["surface", "--out", str(out), "--resolution", "300000"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output == f"error: {shown}\n"
         assert list(tmp_path.iterdir()) == []
 
     def test_plot_script_with_json_writes_nothing(self, runner, tmp_path):

@@ -27,6 +27,7 @@ from asibench.harness import (
 from asibench.metrics import save_accuracy_table
 from asibench.registry import (
     MANIFEST_NAME,
+    ManifestEntry,
     default_registry,
     load_registry,
     materialize,
@@ -194,6 +195,15 @@ class TestToyClassifierAdapter:
         assert evaluate(ToyClassifierAdapter(), corpus) == expected
         assert opened[(corpus / "cond_000" / "dark_00.pgm").resolve()] == 1
 
+    def test_a_second_corpus_is_scored_as_a_fresh_adapter_scores_it(self, tmp_path, small_corpus):
+        # inverted, dark and bright swap places: centroids kept from the first corpus misplace them
+        inverted = [(name, label, Image(1.0 - img.pixels)) for name, label, img in small_corpus]
+        materialize(small_corpus, tiny_registry(), 5, tmp_path / "a")
+        materialize(inverted, tiny_registry(), 5, tmp_path / "b")
+        adapter = ToyClassifierAdapter()
+        evaluate(adapter, tmp_path / "a")
+        assert evaluate(adapter, tmp_path / "b") == evaluate(ToyClassifierAdapter(), tmp_path / "b")
+
     def test_mixed_channel_counts_name_the_file(self, tmp_path, small_corpus):
         rgb = Image(np.full((16, 16, 3), 0.5))
         materialize(small_corpus[:3] + [("rgb.ppm", "mid", rgb)], tiny_registry(), 5, tmp_path)
@@ -249,13 +259,18 @@ ECHO = """\
 """
 
 
-def predict_within(adapter, paths, seconds=30):
-    """Run predict_files in a thread, so that a deadlock fails instead of hanging."""
+def stream(names):
+    """A predict stream as verified_files yields it: (manifest entry, bytes) per output path."""
+    return ((ManifestEntry(0, "clean", name, name, "x", ""), b"") for name in names)
+
+
+def predict_within(adapter, root, names, seconds=30):
+    """Run predict on names under root in a thread, so that a deadlock fails, not hangs."""
     outcome = []
 
     def run():
         try:
-            outcome.append(adapter.predict_files(paths))
+            outcome.append(adapter.predict(root, stream(names)))
         except Exception as exc:
             outcome.append(exc)
 
@@ -297,7 +312,7 @@ class TestSubprocessAdapter:
     def test_dead_process_raises(self, tmp_path):
         adapter = SubprocessAdapter(f"{sys.executable} -c 'pass'")
         with pytest.raises(AdapterError):
-            adapter.predict_file(tmp_path / "x.pgm")
+            adapter.predict(tmp_path, stream(["x.pgm"]))
         adapter.close()
         assert adapter._proc.stdin.closed and adapter._proc.stdout.closed
 
@@ -352,8 +367,9 @@ class TestSubprocessAdapter:
     def test_long_paths_beyond_the_window_do_not_deadlock(self, tmp_path):
         adapter = child_adapter(tmp_path, ECHO)
         # these paths are many times what a pipe buffers
-        paths = [f"/{'d' * 4000}/img_{i:04d}.pgm" for i in range(192)]
-        assert predict_within(adapter, paths) == paths
+        root = f"/{'d' * 4000}"
+        names = [f"img_{i:04d}.pgm" for i in range(192)]
+        assert predict_within(adapter, root, names) == [f"{root}/{n}" for n in names]
 
     def test_an_undecodable_answer_kills_the_child_at_once(self, tmp_path):
         adapter = child_adapter(tmp_path, """\
@@ -363,18 +379,19 @@ class TestSubprocessAdapter:
                 sys.stdout.flush()
         """)
         # unread, the long echoes fill the answer pipe, and the child stops reading
-        paths = [f"/{'d' * 4000}/img_{i:04d}.pgm" for i in range(192)]
+        root = f"/{'d' * 4000}"
+        names = [f"img_{i:04d}.pgm" for i in range(192)]
         start = time.monotonic()
-        error = predict_within(adapter, paths)
+        error = predict_within(adapter, root, names)
         assert time.monotonic() - start < harness.CLOSE_WAIT_S / 4
         assert isinstance(error, AdapterError)
-        assert f"undecodable answer for {paths[0]}" in str(error)
+        assert f"undecodable answer for {root}/{names[0]}" in str(error)
 
     def test_a_path_that_cannot_be_sent_is_an_adapter_error(self, tmp_path):
         adapter = child_adapter(tmp_path, ECHO)
         # a lone surrogate, as os.fsdecode gives for undecodable bytes
-        paths = [f"/img_{i}.pgm" for i in range(3)] + ["/img_\udcff.pgm", "/img_4.pgm"]
-        error = predict_within(adapter, paths)
+        names = [f"img_{i}.pgm" for i in range(3)] + ["img_\udcff.pgm", "img_4.pgm"]
+        error = predict_within(adapter, "/", names)
         assert isinstance(error, AdapterError)
         assert "/img_\udcff.pgm" in str(error) and "sending a path failed" in str(error)
 
@@ -389,8 +406,8 @@ class TestSubprocessAdapter:
                     sys.stdout.flush()
                     batch = []
         """)
-        paths = [f"/img_{i:04d}.pgm" for i in range(400)]
-        assert predict_within(adapter, paths, seconds=10) == paths
+        names = [f"img_{i:04d}.pgm" for i in range(400)]
+        assert predict_within(adapter, "/", names, seconds=10) == ["/" + n for n in names]
 
     def test_a_path_that_cannot_be_sent_is_refused_before_any_path_is_sent(self, tmp_path):
         received = tmp_path / "received.bin"
@@ -401,8 +418,7 @@ class TestSubprocessAdapter:
                     log.write(line)
                     print("x", flush=True)
         """)
-        paths = ["/img_0.pgm", "/img_\udcff.pgm", "/img_2.pgm"]
-        error = predict_within(adapter, paths)
+        error = predict_within(adapter, "/", ["img_0.pgm", "img_\udcff.pgm", "img_2.pgm"])
         assert isinstance(error, AdapterError) and "sending a path failed" in str(error)
         # a child that was sent nothing is killed at close, maybe before it made its log
         assert not received.exists() or received.read_bytes() == b""
@@ -467,12 +483,12 @@ class TestSubprocessAdapter:
             print("a", flush=True)
         """)
         try:
-            assert adapter.predict_file(tmp_path / "1.pgm") == "a"
+            assert adapter.predict(tmp_path, stream(["1.pgm"])) == ["a"]
             with pytest.raises(AdapterError):
-                adapter.predict_file(tmp_path / "2.pgm")
+                adapter.predict(tmp_path, stream(["2.pgm"]))
             adapter._proc.wait(timeout=10)
             with pytest.raises(AdapterError, match="exited with status 0"):
-                adapter.predict_files([tmp_path / "3.pgm"])
+                adapter.predict(tmp_path, stream(["3.pgm"]))
         finally:
             adapter.close()
         assert len(pids.read_text().splitlines()) == 1
@@ -485,7 +501,7 @@ class TestSubprocessAdapter:
             print("a", flush=True)
             time.sleep(60)
         """)
-        assert adapter.predict_files([tmp_path / "1.pgm"]) == ["a"]
+        assert adapter.predict(tmp_path, stream(["1.pgm"])) == ["a"]
         proc = adapter._proc
         with pytest.raises(TimeoutError, match="killed"):
             adapter.close()
@@ -497,7 +513,7 @@ class TestSubprocessAdapter:
         monkeypatch.setattr(harness, "CLOSE_WAIT_S", 0.2)
         linger = "    import time; time.sleep(60)\n" if lingers else ""
         adapter = child_adapter(tmp_path, ECHO + linger)
-        assert adapter.predict_files([tmp_path / "1.pgm"]) == [str(tmp_path / "1.pgm")]
+        assert adapter.predict(tmp_path, stream(["1.pgm"])) == [str(tmp_path / "1.pgm")]
         before = threading.active_count()
         if lingers:
             with pytest.raises(TimeoutError, match="killed"):
@@ -581,8 +597,8 @@ ANSWER_X = """\
 
 class TestEvaluateMemory:
     @pytest.mark.parametrize("kind", ["toy", "subprocess"])
-    def test_peak_grows_under_1_kib_per_file(self, tmp_path, monkeypatch, kind):
-        """evaluate's traced peak grows by less than 1 KiB per corpus file."""
+    def test_peak_grows_under_800_b_per_file(self, tmp_path, monkeypatch, kind):
+        """evaluate's traced peak grows by less than 800 B per corpus file."""
         # each peak holds the files read ahead of the toy classifier; with one at most,
         # thread timing cannot make the two peaks hold different numbers of them
         monkeypatch.setattr(harness, "READ_AHEAD_FILES", 1)
@@ -605,7 +621,7 @@ class TestEvaluateMemory:
         (small, small_peak), (large, large_peak) = peak(12, "small"), peak(24, "large")
         assert (small, large) == (828, 1656)
         growth = (large_peak - small_peak) / (large - small)
-        assert growth < 1024, f"{growth:.0f} B more per corpus file"
+        assert growth < 800, f"{growth:.0f} B more per corpus file"
 
 
 class TestPredictionsFileAdapter:
