@@ -52,32 +52,34 @@ def _guard(fn):
 def _read_clean_corpus(corpus_dir: Path, limit: int | None):
     """Check the PGM/PPM images listed in labels.csv (filename,label) of a directory.
 
-    Every listed file must exist and decode, so that a bad one fails before
-    anything is written. The pixels are not kept: each item is (filename,
-    label, path), and ``materialize`` reads the path again when its turn comes.
+    Every listed name must pass ``registry.check_clean_names`` before any
+    listed file is opened, and every listed file must exist and decode, so
+    that a bad one fails before anything is written. The pixels are not
+    kept: each item is (filename, label, path), and ``materialize`` reads the
+    path again when its turn comes.
     """
     from .image import decode_netpbm
+    from .registry import check_clean_names
 
     labels_path = corpus_dir / "labels.csv"
     if not corpus_dir.is_dir():
         raise ParameterError(f"clean corpus directory not found: {corpus_dir}")
     if not labels_path.is_file():
         raise ParameterError(f"labels file not found: {labels_path}")
-    rows = []
+    clean = []
     with open(labels_path, newline="", encoding="utf-8") as fh:
         for where, row in tables.rows(fh, ["filename", "label"], labels_path, ParameterError):
             if not row["label"]:
                 raise ParameterError(f"{where}: missing label")
-            rows.append(row)
-            if len(rows) == limit:
+            clean.append((row["filename"], row["label"], str(corpus_dir / row["filename"])))
+            if len(clean) == limit:
                 break
-    clean = []
-    for row in rows:
-        path = corpus_dir / row["filename"]
+    check_clean_names(clean)
+    for name, _, _ in clean:
+        path = corpus_dir / name
         if not path.is_file():
             raise ParameterError(f"clean image not found: {path}")
         decode_netpbm(path.read_bytes(), path)
-        clean.append((row["filename"], row["label"], str(path)))
     return clean
 
 
@@ -117,7 +119,7 @@ def cmd_perturb(corpus_dir, registry_path, seed, group_size, out_dir, jobs):
     else:
         reg = registry.load_registry_file(registry_path)
     clean = _read_clean_corpus(corpus_dir, group_size)
-    entries = registry.materialize(clean, reg, seed, out_dir, jobs=jobs)
+    registry.materialize(clean, reg, seed, out_dir, jobs=jobs)
     _write_run_record(out_dir, {
         "command": "perturb",
         "corpus": str(corpus_dir),
@@ -127,7 +129,8 @@ def cmd_perturb(corpus_dir, registry_path, seed, group_size, out_dir, jobs):
         "jobs": jobs,
         "numpy": numpy.__version__,  # the noise kernels draw through its Generator methods
     })
-    click.echo(f"wrote {len(entries)} images in {len(reg.conditions)} groups to {out_dir}")
+    groups = len(reg.conditions)
+    click.echo(f"wrote {len(clean) * groups} images in {groups} groups to {out_dir}")
 
 
 @main.command("evaluate")

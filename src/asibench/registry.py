@@ -28,6 +28,7 @@ __all__ = [
     "Condition",
     "ConditionRegistry",
     "ManifestEntry",
+    "check_clean_names",
     "load_registry",
     "load_registry_file",
     "default_registry",
@@ -227,11 +228,11 @@ def _image_files(
     seed: int,
     out_dir: Path,
     stop=None,
-) -> Iterator[tuple[str, bytes, tuple[int, int, ManifestEntry]]]:
+) -> Iterator[tuple[str, bytes, bytes]]:
     """Compute every condition's file of the clean images at ``indices``, one image at a time.
 
-    Yields (path, bytes, row) for each file, where the row is (registry
-    position, image index, manifest row). A clean image given by its path is
+    Yields (path, bytes, sha256 digest) for each file, image by image and,
+    within an image, in registry order. A clean image given by its path is
     read when its turn comes, so only one is held at a time. A rotation draws
     no randomness, so each image is rotated once per distinct first-step
     angle; each condition then finishes its later steps from that rotation
@@ -241,12 +242,12 @@ def _image_files(
     for idx in indices:
         if stop is not None and stop.is_set():
             return
-        name, true_label, img = clean[idx]
+        name, _, img = clean[idx]
         if not isinstance(img, Image):
             # looked up on the module, so that a wrapper of it sees each read
             img = image.read_netpbm(img)
         rotated: dict[float, Image] = {}
-        for pos, cond in enumerate(conditions):
+        for cond in conditions:
             base, rest, skip = img, cond.steps, 0
             if rest and rest[0].kind is Kind.ROTATION:
                 angle = rest[0].intensity
@@ -256,15 +257,7 @@ def _image_files(
             if rest:
                 base = apply_sequence(base, rest, derive_seed(seed, cond.id, idx), start=skip)
             data = netpbm_bytes(base)
-            output_path = os.path.join(_group_dir(cond), name)
-            yield os.path.join(out_dir, output_path), data, (pos, idx, ManifestEntry(
-                condition_id=cond.id,
-                condition_label=cond.label,
-                source_filename=name,
-                output_path=output_path,
-                true_label=true_label,
-                checksum=hashlib.sha256(data).hexdigest(),
-            ))
+            yield os.path.join(out_dir, _group_dir(cond), name), data, hashlib.sha256(data).digest()
 
 
 def _write_images(
@@ -274,24 +267,25 @@ def _write_images(
     seed: int,
     out_dir: Path,
     stop=None,
-) -> list[tuple[int, int, ManifestEntry]]:
-    """Write every condition's file of the clean images at ``indices``; return their rows.
+) -> bytearray:
+    """Write every condition's file of the clean images at ``indices``; return their digests.
 
-    The files are computed by ``_image_files`` on one background thread, up
-    to ``WRITE_BEHIND_FILES`` ahead, and written on this one, which calls
-    nothing else meanwhile: every kernel call of the stream is on the one
-    thread. The first error either thread meets is raised here, and the
-    background thread has ended by then. Once ``stop`` is set, no further
-    image is begun and the rows so far are returned.
+    The 32-byte sha256 digests are concatenated in the order of
+    ``_image_files``. The files are computed by ``_image_files`` on one
+    background thread, up to ``WRITE_BEHIND_FILES`` ahead, and written on
+    this one, which calls nothing else meanwhile: every kernel call of the
+    stream is on the one thread. The first error either thread meets is
+    raised here, and the background thread has ended by then. Once ``stop``
+    is set, no further image is begun and the digests so far are returned.
     """
-    rows = []
+    digests = bytearray()
     files = _ahead(_image_files(clean, indices, conditions, seed, out_dir, stop),
                    WRITE_BEHIND_FILES, "asibench-perturb")
     with contextlib.closing(files):
-        for path, data, row in files:
+        for path, data, digest in files:
             _write_file(path, data)
-            rows.append(row)
-    return rows
+            digests += digest
+    return digests
 
 
 # (clean, conditions, seed, out_dir, workers, failed) in a pool worker
@@ -303,7 +297,7 @@ def _init_worker(*job) -> None:
     _worker_job = job
 
 
-def _worker_write_chunk(k: int) -> list[tuple[int, int, ManifestEntry]]:
+def _worker_write_chunk(k: int) -> bytearray:
     clean, conditions, seed, out_dir, workers, failed = _worker_job
     try:
         return _write_images(clean, range(k, len(clean), workers), conditions, seed, out_dir,
@@ -334,12 +328,29 @@ def _write_chunks_in_pool(clean, conditions, seed, out_dir, workers):
         initargs=(clean, conditions, seed, out_dir, workers, failed),
     )
     try:
-        return [row for chunk in pool.map(_worker_write_chunk, range(workers)) for row in chunk]
+        return list(pool.map(_worker_write_chunk, range(workers)))
     except BrokenProcessPool as exc:
         raise ChildProcessError(f"a perturb worker process died: {exc}") from None
     finally:
         failed.set()  # no effect after success; after an error here, the workers stop early
         pool.shutdown(cancel_futures=True)
+
+
+def check_clean_names(clean: Iterable[tuple[str, str, object]]) -> None:
+    """Check that each (filename, true_label, _) names a plain file, once, with a label.
+
+    Raises ``ParameterError`` at the first that does not. No file is read,
+    so a caller can apply the rule before it opens any listed file.
+    """
+    seen = set()
+    for name, true_label, _ in clean:
+        if name in ("", ".", "..") or os.path.basename(name) != name:
+            raise ParameterError(f"clean image name {name!r} is not a plain file name")
+        if name in seen:
+            raise ParameterError(f"clean image name {name!r} is repeated")
+        if not true_label:
+            raise ParameterError(f"clean image {name!r} has an empty label")
+        seen.add(name)
 
 
 def materialize(
@@ -349,7 +360,7 @@ def materialize(
     out_dir: str | Path,
     *,
     jobs: int = 1,
-) -> list[ManifestEntry]:
+) -> None:
     """Write one image group per condition plus a manifest.
 
     ``clean`` is a list of (filename, true_label, image), where the image is
@@ -358,8 +369,8 @@ def materialize(
     re-encoding of the clean images; every other group applies the
     condition's step sequence with sub-seed derive_seed(seed, condition_id,
     image_index). Output bytes depend only on (clean, registry, seed). A
-    filename that repeats or is not a plain file name, or an empty label,
-    fails before any write.
+    negative seed, or a clean list that ``check_clean_names`` refuses, fails
+    before any write.
 
     The work goes one clean image at a time: each image is rotated once per
     distinct first-step angle, then every condition is finished from there,
@@ -370,20 +381,19 @@ def materialize(
     process. The first error in a worker stops the others at their next
     image, and the caller gets it. The manifest is in registry order, then
     image order, whatever the scheduling.
+
+    Per output file only its 32-byte sha256 digest is kept until the
+    manifest is written; every other cell of its row follows from its
+    condition and its clean image. Nothing is returned:
+    ``read_manifest(out_dir)`` gives the rows.
     """
     if not clean:
         raise ParameterError("clean corpus is empty")
     if jobs < 1:
         raise ParameterError(f"jobs must be >= 1, got {jobs}")
-    seen = set()
-    for name, true_label, _ in clean:
-        if name in ("", ".", "..") or os.path.basename(name) != name:
-            raise ParameterError(f"clean image name {name!r} is not a plain file name")
-        if name in seen:
-            raise ParameterError(f"clean image name {name!r} is repeated")
-        if not true_label:
-            raise ParameterError(f"clean image {name!r} has an empty label")
-        seen.add(name)
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
+    check_clean_names(clean)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     conditions = registry.conditions
@@ -393,17 +403,18 @@ def materialize(
     # keeps every kernel, and the rotation plans it caches, out of this process
     workers = min(jobs, os.cpu_count() or 1)
     if workers == 1:
-        rows = _write_images(clean, range(len(clean)), conditions, seed, out_dir)
+        chunks = [_write_images(clean, range(len(clean)), conditions, seed, out_dir)]
     else:
-        rows = _write_chunks_in_pool(clean, conditions, seed, out_dir, workers)
-    rows.sort(key=lambda row: row[:2])
-    entries = [entry for _, _, entry in rows]
+        chunks = _write_chunks_in_pool(clean, conditions, seed, out_dir, workers)
     with open(out_dir / MANIFEST_NAME, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=MANIFEST_FIELDS)
-        writer.writeheader()
-        for e in entries:
-            writer.writerow(vars(e))
-    return entries
+        writer = csv.writer(fh)  # the excel dialect: comma-separated, \r\n line ends
+        writer.writerow(MANIFEST_FIELDS)
+        for pos, cond in enumerate(conditions):
+            for idx, (name, true_label, _) in enumerate(clean):
+                # worker idx % workers wrote it as file pos of its image number idx // workers
+                at = 32 * (idx // workers * len(conditions) + pos)
+                writer.writerow([cond.id, cond.label, name, os.path.join(_group_dir(cond), name),
+                                 true_label, chunks[idx % workers][at:at + 32].hex()])
 
 
 def read_manifest(corpus_dir: str | Path) -> list[ManifestEntry]:

@@ -172,8 +172,9 @@ def test_criterion_7_end_to_end_pipeline(tmp_path):
     corpus = synthetic_corpus(n_per_class=10, size=16)
     registry = default_registry()
     run_a, run_b = tmp_path / "a", tmp_path / "b"
-    entries_a = materialize(corpus, registry, 42, run_a)
-    entries_b = materialize(corpus, registry, 42, run_b)
+    materialize(corpus, registry, 42, run_a)
+    materialize(corpus, registry, 42, run_b)
+    entries_a, entries_b = read_manifest(run_a), read_manifest(run_b)
     identical = [e.checksum for e in entries_a] == [e.checksum for e in entries_b]
 
     series = evaluate(ToyClassifierAdapter(), run_a, classifier_id="toy")

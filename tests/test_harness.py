@@ -607,7 +607,8 @@ class TestEvaluateMemory:
 
         def peak(n, tag):
             corpus = tmp_path / tag
-            files = len(materialize(clean[:n], reg, 0, corpus, jobs=1))
+            materialize(clean[:n], reg, 0, corpus, jobs=1)
+            files = len(read_manifest(corpus))
             adapter = ToyClassifierAdapter() if kind == "toy" else child_adapter(tmp_path, ANSWER_X)
             tracemalloc.start()
             try:

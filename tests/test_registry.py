@@ -126,14 +126,17 @@ def tiny_registry():
 class TestMaterialize:
     def test_counts_and_manifest(self, tmp_path, small_corpus):
         reg = tiny_registry()
-        entries = materialize(small_corpus[:10], reg, 42, tmp_path)
-        assert len(entries) == 3 * 10
+        clean = small_corpus[:10]
+        assert materialize(clean, reg, 42, tmp_path) is None
         for cond_id in range(3):
             group = tmp_path / f"cond_{cond_id:03d}"
             assert len(list(group.glob("*.pgm"))) == 10
-        back = read_manifest(tmp_path)
-        assert back == entries
-        assert [e for e, _ in verified_files(tmp_path, back)] == entries
+        entries = read_manifest(tmp_path)
+        # registry order, then image order
+        assert [(e.condition_id, e.source_filename, e.output_path, e.true_label)
+                for e in entries] == [(c.id, name, f"cond_{c.id:03d}/{name}", label)
+                                      for c in reg.conditions for name, label, _ in clean]
+        assert [e for e, _ in verified_files(tmp_path, entries)] == entries
 
     def test_clean_group_byte_identical(self, tmp_path, small_corpus):
         clean = small_corpus[:5]
@@ -143,14 +146,16 @@ class TestMaterialize:
 
     def test_deterministic_rerun(self, tmp_path, small_corpus):
         a, b = tmp_path / "a", tmp_path / "b"
-        e1 = materialize(small_corpus[:6], tiny_registry(), 7, a)
-        e2 = materialize(small_corpus[:6], tiny_registry(), 7, b)
+        materialize(small_corpus[:6], tiny_registry(), 7, a)
+        materialize(small_corpus[:6], tiny_registry(), 7, b)
+        e1, e2 = read_manifest(a), read_manifest(b)
         assert [x.checksum for x in e1] == [x.checksum for x in e2]
 
     def test_seed_changes_output(self, tmp_path, small_corpus):
         a, b = tmp_path / "a", tmp_path / "b"
-        e1 = materialize(small_corpus[:6], tiny_registry(), 7, a)
-        e2 = materialize(small_corpus[:6], tiny_registry(), 8, b)
+        materialize(small_corpus[:6], tiny_registry(), 7, a)
+        materialize(small_corpus[:6], tiny_registry(), 8, b)
+        e1, e2 = read_manifest(a), read_manifest(b)
         assert [x.checksum for x in e1] != [x.checksum for x in e2]
 
     def test_sp_count_oracle_on_constant_corpus(self, tmp_path):
@@ -164,9 +169,9 @@ class TestMaterialize:
     def test_jobs_output_byte_identical(self, tmp_path, small_corpus, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)  # run the pool on any machine
         a, b = tmp_path / "a", tmp_path / "b"
-        e1 = materialize(small_corpus[:6], tiny_registry(), 5, a, jobs=1)
-        e2 = materialize(small_corpus[:6], tiny_registry(), 5, b, jobs=2)
-        assert e1 == e2
+        materialize(small_corpus[:6], tiny_registry(), 5, a, jobs=1)
+        materialize(small_corpus[:6], tiny_registry(), 5, b, jobs=2)
+        assert read_manifest(a) == read_manifest(b)
         assert_same_files(a, b)
 
     def test_jobs_spawn_while_threads_run(self, tmp_path, small_corpus, monkeypatch):
@@ -176,13 +181,14 @@ class TestMaterialize:
         other = threading.Thread(target=release.wait, args=(60,))
         other.start()
         try:
-            e2 = materialize(small_corpus[:3], tiny_registry(), 5, tmp_path / "b", jobs=2)
+            materialize(small_corpus[:3], tiny_registry(), 5, tmp_path / "b", jobs=2)
         finally:
             release.set()
             other.join(timeout=60)
         assert not other.is_alive()
         assert methods == ["spawn"]
-        assert e2 == materialize(small_corpus[:3], tiny_registry(), 5, tmp_path / "a", jobs=1)
+        materialize(small_corpus[:3], tiny_registry(), 5, tmp_path / "a", jobs=1)
+        assert read_manifest(tmp_path / "b") == read_manifest(tmp_path / "a")
 
     @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                         reason="the patch reaches the workers only through fork")
@@ -197,6 +203,11 @@ class TestMaterialize:
     def test_jobs_below_one_rejected(self, tmp_path, small_corpus, jobs):
         with pytest.raises(ParameterError, match="jobs"):
             materialize(small_corpus[:2], tiny_registry(), 0, tmp_path / "out", jobs=jobs)
+        assert not (tmp_path / "out").exists()
+
+    def test_a_negative_seed_fails_before_any_write(self, tmp_path, small_corpus):
+        with pytest.raises(ParameterError, match=re.escape("seed must be >= 0, got -1") + "$"):
+            materialize(small_corpus[:2], tiny_registry(), -1, tmp_path / "out")
         assert not (tmp_path / "out").exists()
 
     def test_empty_corpus_rejected(self, tmp_path):
@@ -221,7 +232,8 @@ class TestMaterialize:
             list(verified_files(tmp_path, entries))
 
     def test_verified_files_yields_the_hashed_bytes_in_order(self, tmp_path, small_corpus):
-        entries = materialize(small_corpus[:4], tiny_registry(), 1, tmp_path)
+        materialize(small_corpus[:4], tiny_registry(), 1, tmp_path)
+        entries = read_manifest(tmp_path)
         pairs = list(verified_files(tmp_path, entries))
         assert [e for e, _ in pairs] == entries
         assert all(data == (tmp_path / e.output_path).read_bytes() for e, data in pairs)
@@ -233,7 +245,8 @@ class TestMaterialize:
     def test_verified_files_stops_at_the_first_damaged_file(
         self, tmp_path, small_corpus, damage, message, monkeypatch
     ):
-        entries = materialize(small_corpus[:4], tiny_registry(), 1, tmp_path)
+        materialize(small_corpus[:4], tiny_registry(), 1, tmp_path)
+        entries = read_manifest(tmp_path)
         victim = tmp_path / entries[5].output_path
         damage(victim)
         read = []
@@ -255,7 +268,8 @@ class TestMaterialize:
     def test_a_path_with_no_plain_file_is_a_missing_corpus_file(
         self, tmp_path, small_corpus, damage
     ):
-        entries = materialize(small_corpus[:4], tiny_registry(), 1, tmp_path)
+        materialize(small_corpus[:4], tiny_registry(), 1, tmp_path)
+        entries = read_manifest(tmp_path)
         victim = tmp_path / entries[4].output_path  # the first file of cond_001
         leave_no_plain_file(victim, damage)
         expected = re.escape(f"missing corpus file: {victim}") + "$"
@@ -324,14 +338,14 @@ class TestUnitsOfWork:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # switch between the caller and the writer often
         try:
-            entries = materialize(clean, reg, 31, tmp_path, jobs=jobs)
+            materialize(clean, reg, 31, tmp_path, jobs=jobs)
         finally:
             sys.setswitchinterval(interval)
+        entries = read_manifest(tmp_path)
         assert [e.condition_id for e in entries] == [
             c.id for c in reg.conditions for _ in clean
         ]
         assert [e.source_filename for e in entries] == [name for name, _, _ in clean] * 7
-        assert read_manifest(tmp_path) == entries
         for e in entries:
             cond = next(c for c in reg.conditions if c.id == e.condition_id)
             idx = [name for name, _, _ in clean].index(e.source_filename)
@@ -501,7 +515,7 @@ class TestCleanImagesByPath:
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         paths, images = clean
         reg = load_registry(INTERLEAVED)
-        expected = materialize(images, reg, 31, tmp_path / "from_images")
+        materialize(images, reg, 31, tmp_path / "from_images")
         methods = record_start_methods(monkeypatch)
         release = threading.Event()
         # a second running thread makes the pool spawn its workers
@@ -510,14 +524,14 @@ class TestCleanImagesByPath:
             other.start()
         try:
             jobs = 1 if method == "in-process" else 2
-            entries = materialize(paths, reg, 31, tmp_path / "from_paths", jobs=jobs)
+            materialize(paths, reg, 31, tmp_path / "from_paths", jobs=jobs)
         finally:
             release.set()
             if method == "spawn":
                 other.join(timeout=60)
         assert not other.is_alive()
         assert methods == ([] if method == "in-process" else [method])
-        assert entries == expected
+        assert read_manifest(tmp_path / "from_paths") == read_manifest(tmp_path / "from_images")
         assert_same_files(tmp_path / "from_images", tmp_path / "from_paths")
 
     def test_each_path_is_read_when_its_turn_comes(self, tmp_path, clean, monkeypatch):
@@ -546,7 +560,8 @@ class TestReadAhead:
 
     @pytest.fixture
     def corpus(self, tmp_path, small_corpus):
-        entries = materialize(small_corpus[:6], tiny_registry(), 1, tmp_path)
+        materialize(small_corpus[:6], tiny_registry(), 1, tmp_path)
+        entries = read_manifest(tmp_path)
         assert len(entries) > 2 * harness.READ_AHEAD_FILES  # the queue fills
         return tmp_path, entries
 
