@@ -50,17 +50,11 @@ def _guard(fn):
 
 
 def _read_clean_corpus(corpus_dir: Path, limit: int | None):
-    """Check the PGM/PPM images listed in labels.csv (filename,label) of a directory.
+    """The first ``limit`` rows of labels.csv (filename,label) in a clean corpus directory.
 
-    Every listed name must pass ``registry.check_clean_names`` before any
-    listed file is opened, and every listed file must exist and decode, so
-    that a bad one fails before anything is written. The pixels are not
-    kept: each item is (filename, label, path), and ``materialize`` reads the
-    path again when its turn comes.
+    Each item is (filename, label, path). No listed file is opened here:
+    ``materialize`` checks every name and file before it writes anything.
     """
-    from .image import decode_netpbm
-    from .registry import check_clean_names
-
     labels_path = corpus_dir / "labels.csv"
     if not corpus_dir.is_dir():
         raise ParameterError(f"clean corpus directory not found: {corpus_dir}")
@@ -74,12 +68,6 @@ def _read_clean_corpus(corpus_dir: Path, limit: int | None):
             clean.append((row["filename"], row["label"], str(corpus_dir / row["filename"])))
             if len(clean) == limit:
                 break
-    check_clean_names(clean)
-    for name, _, _ in clean:
-        path = corpus_dir / name
-        if not path.is_file():
-            raise ParameterError(f"clean image not found: {path}")
-        decode_netpbm(path.read_bytes(), path)
     return clean
 
 

@@ -28,7 +28,6 @@ __all__ = [
     "Condition",
     "ConditionRegistry",
     "ManifestEntry",
-    "check_clean_names",
     "load_registry",
     "load_registry_file",
     "default_registry",
@@ -336,21 +335,26 @@ def _write_chunks_in_pool(clean, conditions, seed, out_dir, workers):
         pool.shutdown(cancel_futures=True)
 
 
-def check_clean_names(clean: Iterable[tuple[str, str, object]]) -> None:
-    """Check that each (filename, true_label, _) names a plain file, once, with a label.
+def _check_clean(clean: list[tuple[str, str, CleanImage]]) -> None:
+    """Check each (filename, true_label, image); raise ``ParameterError`` at the first bad one.
 
-    Raises ``ParameterError`` at the first that does not. No file is read,
-    so a caller can apply the rule before it opens any listed file.
+    Every name must be a plain file name, given once, with a label; only then is each image given
+    by a path read, and it must be a plain file (a FIFO would block) that ``decode_netpbm`` takes.
     """
     seen = set()
     for name, true_label, _ in clean:
-        if name in ("", ".", "..") or os.path.basename(name) != name:
+        if name in ("", ".", "..") or os.path.basename(name) != name or set(name) & set("\r\n\0"):
             raise ParameterError(f"clean image name {name!r} is not a plain file name")
         if name in seen:
             raise ParameterError(f"clean image name {name!r} is repeated")
         if not true_label:
             raise ParameterError(f"clean image {name!r} has an empty label")
         seen.add(name)
+    for _, _, img in clean:
+        if not isinstance(img, Image):
+            if not Path(img).is_file():
+                raise ParameterError(f"clean image not found: {img}")
+            image.decode_netpbm(Path(img).read_bytes(), img)
 
 
 def materialize(
@@ -369,8 +373,8 @@ def materialize(
     re-encoding of the clean images; every other group applies the
     condition's step sequence with sub-seed derive_seed(seed, condition_id,
     image_index). Output bytes depend only on (clean, registry, seed). A
-    negative seed, or a clean list that ``check_clean_names`` refuses, fails
-    before any write.
+    negative seed, or any clean name, label or file that ``_check_clean``
+    refuses, fails before any write and so leaves ``out_dir`` as it was.
 
     The work goes one clean image at a time: each image is rotated once per
     distinct first-step angle, then every condition is finished from there,
@@ -393,7 +397,7 @@ def materialize(
         raise ParameterError(f"jobs must be >= 1, got {jobs}")
     if seed < 0:
         raise ParameterError(f"seed must be >= 0, got {seed}")
-    check_clean_names(clean)
+    _check_clean(clean)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     conditions = registry.conditions
@@ -471,8 +475,8 @@ def verified_files(
 ) -> Iterator[tuple[ManifestEntry, bytes]]:
     """Yield each entry with its file's bytes, read once and matched to its checksum.
 
-    A generator: each file is read and hashed, in manifest order, on the
-    thread that pulls it, and the bytes yielded are the bytes that were
+    A generator: each file is read and hashed, in the order of ``entries``,
+    on the thread that pulls it, and the bytes yielded are the bytes that were
     hashed. The first missing or altered file raises ``ManifestError`` at its
     position, and no later file is read.
     """

@@ -221,6 +221,9 @@ class TestPerturb:
         ("../missing.pgm", "is not a plain file name"),
         ("../not_an_image.pgm", "is not a plain file name"),
         ("bright_00.pgm", "is repeated"),
+        # a line break would split the name's line in a subprocess adapter's request
+        ("a\nb.pgm", "is not a plain file name"),
+        ("a\rb.pgm", "is not a plain file name"),
     ])
     def test_name_outside_the_group_or_repeated_is_validation_error(
         self, runner, clean_dir, tmp_path, name, reason
@@ -228,8 +231,10 @@ class TestPerturb:
         # the name rule comes before any listed file is opened, whatever lies outside
         (tmp_path / "bright_00.pgm").write_bytes((clean_dir / "bright_00.pgm").read_bytes())
         (tmp_path / "not_an_image.pgm").write_bytes(b"not netpbm\n")
+        if os.path.basename(name) == name:  # its file is there, so only the rule refuses it
+            (clean_dir / name).write_bytes((clean_dir / "bright_00.pgm").read_bytes())
         labels = clean_dir / "labels.csv"
-        labels.write_text(labels.read_text() + f"{name},bright\n")
+        labels.write_text(labels.read_text() + f'"{name}",bright\n', newline="")
         out = tmp_path / "o"
         result = runner.invoke(main, ["perturb", "--corpus", str(clean_dir), "--out", str(out)])
         assert result.exit_code == 1
@@ -253,30 +258,31 @@ class TestPerturb:
 
 class TestPerturbMemory:
     def test_peak_does_not_grow_with_the_clean_corpus(self, tmp_path, monkeypatch):
-        """perturb's traced peak, through the CLI's corpus reader, grows < 6 KiB per clean image."""
+        """perturb's traced peak, through the CLI's corpus reader, grows < 4 KiB per clean image."""
         # each peak holds the encoded files waiting to be written; with one queued at
         # most, thread timing moves either peak by a file or two, not by dozens
         monkeypatch.setattr(registry, "WRITE_BEHIND_FILES", 1)
-        size = 128
-        corpus = synthetic_corpus(n_per_class=6, size=size)
+        corpus = synthetic_corpus(n_per_class=6, size=128)
         reg = registry.default_registry()
+        clean_dirs = {n: write_clean_corpus(corpus[:n], tmp_path / f"clean_{n}") for n in (4, 16)}
 
-        def peak(n, tag):
-            clean_dir = write_clean_corpus(corpus[:n], tmp_path / f"clean_{tag}")
+        def peak(n):
             tracemalloc.start()
             try:
-                clean = cli._read_clean_corpus(clean_dir, None)
-                registry.materialize(clean, reg, 0, tmp_path / f"out_{tag}", jobs=1)
+                clean = cli._read_clean_corpus(clean_dirs[n], None)
+                registry.materialize(clean, reg, 0, tmp_path / f"out_{n}", jobs=1)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        peak(4, "warm")  # the rotation plans are then cached for both measured runs
-        growth = (peak(16, "large") - peak(4, "small")) / 12
+        peak(4)  # the rotation plans are then cached for every measured run
+        growths = [(peak(16) - peak(4)) / 12 for _ in range(3)]
         # 69 files per clean image, so about 89 B per file. Their 32-byte digests take
-        # 2.2 KiB; the files in flight at each peak spread the figure over 1.7-3.9 KiB,
-        # where a manifest row kept per file measured 21.7-26.5 KiB
-        assert growth < 6 * 1024, f"{growth / 1024:.1f} KiB more per clean image"
+        # 2.2 KiB; the files in flight at each peak spread one repeat's figure over
+        # 1.2-3.9 KiB, and the smallest of three over 1.2-2.7 KiB. A manifest row kept
+        # per file measured 21.7-26.5 KiB
+        shown = ", ".join(f"{g / 1024:.1f}" for g in growths)
+        assert min(growths) < 4 * 1024, f"{shown} KiB more per clean image"
 
 
 def spy_on_spawns(monkeypatch):

@@ -1,4 +1,5 @@
 import builtins
+import csv
 import io
 import os
 import re
@@ -429,8 +430,16 @@ class TestSubprocessAdapter:
     ):
         # the oracle's answers would shift by one, and the corpus would score wrong
         corpus = tmp_path / "corpus"
-        clean = [(f"dark{line_break}x_00.pgm", "dark", small_corpus[0][2])] + small_corpus[10:12]
-        materialize(clean, tiny_registry(), 5, corpus)
+        materialize(small_corpus[:1] + small_corpus[10:12], tiny_registry(), 5, corpus)
+        # materialize refuses such a name, but a manifest made by hand can list one
+        name = f"dark{line_break}x_00.pgm"
+        for group in corpus.glob("cond_*"):
+            (group / "dark_00.pgm").rename(group / name)
+        manifest = corpus / MANIFEST_NAME
+        with open(manifest, newline="") as fh:
+            rows = [[cell.replace("dark_00.pgm", name) for cell in row] for row in csv.reader(fh)]
+        with open(manifest, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
         received = tmp_path / "received.bin"
         adapter = child_adapter(tmp_path, f"""\
             import sys

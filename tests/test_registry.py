@@ -7,6 +7,7 @@ import re
 import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -220,6 +221,14 @@ class TestMaterialize:
         clean[2] = (name, "", img)
         with pytest.raises(ParameterError,
                            match=re.escape(f"clean image {name!r} has an empty label")):
+            materialize(clean, tiny_registry(), 0, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    def test_a_name_holding_nul_fails_before_any_write(self, tmp_path, small_corpus):
+        (_, label, img), (_, _, other) = small_corpus[:2]
+        clean = [("ok.pgm", label, img), ("x\x00y.pgm", label, other)]
+        message = r"clean image name 'x\x00y.pgm' is not a plain file name"
+        with pytest.raises(ParameterError, match=re.escape(message)):
             materialize(clean, tiny_registry(), 0, tmp_path / "out")
         assert not (tmp_path / "out").exists()
 
@@ -553,6 +562,51 @@ class TestCleanImagesByPath:
         # ROT 30 and ROT -30 of the clean image, and SP 0.1 | ROT 30's own rotation
         assert events == [event for _, _, path in paths
                           for event in [("read", path)] + ["rotate"] * 3]
+
+
+class TestBadCleanFile:
+    """A clean image given by a path that is no plain netpbm file fails before any write."""
+
+    DAMAGE = {
+        "deleted": ("clean image not found: {path}",
+                    lambda path: leave_no_plain_file(path, "deleted")),
+        "directory": ("clean image not found: {path}",
+                      lambda path: leave_no_plain_file(path, "directory")),
+        "truncated": ("{path}: truncated pixel data",
+                      lambda path: path.write_bytes(path.read_bytes()[:-1])),
+        "not_netpbm": ("{path}: unsupported netpbm magic b'not'",
+                       lambda path: path.write_bytes(b"not netpbm\n")),
+    }
+
+    @pytest.fixture
+    def paths(self, tmp_path, small_corpus):
+        clean_dir = write_clean_corpus(small_corpus[:5], tmp_path / "clean")
+        return [(name, label, str(clean_dir / name)) for name, label, _ in small_corpus[:5]]
+
+    def damaged(self, paths, damage):
+        """Damage the last clean file; return the message that names it."""
+        message, damage_file = self.DAMAGE[damage]
+        path = paths[-1][2]
+        damage_file(Path(path))
+        return message.format(path=path)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("damage", list(DAMAGE))
+    def test_nothing_is_created(self, tmp_path, paths, monkeypatch, damage, jobs):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        message = self.damaged(paths, damage)
+        with pytest.raises(ParameterError, match=re.escape(message) + "$"):
+            materialize(paths, tiny_registry(), 0, tmp_path / "out", jobs=jobs)
+        assert not (tmp_path / "out").exists()
+
+    def test_an_older_corpus_is_left_as_it_was(self, tmp_path, paths):
+        out = tmp_path / "out"
+        materialize(paths, tiny_registry(), 1, out)
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        message = self.damaged(paths, "truncated")
+        with pytest.raises(ParameterError, match=re.escape(message) + "$"):
+            materialize(paths, tiny_registry(), 2, out)
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
 
 
 class TestReadAhead:
