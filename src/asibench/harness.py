@@ -116,21 +116,21 @@ class ToyClassifierAdapter:
         pass
 
 
-# Seconds a subprocess adapter has to exit once its input is closed.
+# Seconds a subprocess adapter has to exit once it has given its last answer.
 CLOSE_WAIT_S = 10.0
 
 
 class SubprocessAdapter:
     """Line-protocol adapter: write an absolute image path, read back a label.
 
-    One long-lived process per adapter, started on first use and never
-    restarted; ``predict`` starts it before checking the corpus, so that it
-    loads meanwhile, and sends no path until every file has been checked. It
-    answers one line per path, in request order, flushing each line. A writer
-    thread sends the paths without waiting for answers, which the pipe paces,
-    while ``predict_file`` reads one answer per path. When an answer cannot be
-    read, the process is killed at once, and so is a process that ``close``
-    finds was never sent a path.
+    One process per adapter, serving one request: ``predict`` starts it
+    before checking the corpus, so that it loads meanwhile, and sends no path
+    until every file has been checked. A writer thread sends the paths without
+    waiting for answers, which the pipe paces, then closes the process's input
+    and waits for it to exit; ``predict_file`` reads one answer per path. So the
+    process may answer line by line, in request order, or read every path
+    first and answer at end of input. When an answer cannot be read, the
+    process is killed at once, and so is one still running at ``close``.
     """
 
     def __init__(self, command: str):
@@ -142,11 +142,10 @@ class SubprocessAdapter:
             raise ParameterError(f"adapter spec {'subprocess:' + command!r} names no command")
         self.command = command
         self._proc = None
-        self._sent = False  # some path was handed to the process
 
     def _ensure(self):
         if self._proc is None:
-            # not line-buffered: the writer thread flushes once it has written every path
+            # not line-buffered: the writer thread flushes as it closes the input
             self._proc = subprocess.Popen(
                 self._argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True
             )
@@ -175,10 +174,7 @@ class SubprocessAdapter:
                 path.encode(proc.stdin.encoding)
             except UnicodeEncodeError as exc:
                 raise AdapterError(f"sending a path failed: {path}: {exc}") from None
-        writer = threading.Thread(
-            target=self._send, args=(proc.stdin, base, entries), daemon=True
-        )
-        self._sent = True
+        writer = threading.Thread(target=self._send, args=(proc, base, entries), daemon=True)
         writer.start()
         try:
             return [self.predict_file(base + e.output_path) for e in entries]
@@ -187,18 +183,22 @@ class SubprocessAdapter:
             raise
         finally:
             writer.join(CLOSE_WAIT_S)
-            if writer.is_alive():  # blocked on a process that stopped reading
+            if writer.is_alive():  # the process neither exits nor reads the rest of its input
                 proc.kill()
                 writer.join()
+                raise TimeoutError(
+                    f"adapter process {self.command!r} did not exit within {CLOSE_WAIT_S:g} s "
+                    "of its last answer; killed it"
+                )
 
     @staticmethod
-    def _send(stdin, base: str, entries) -> None:
-        try:
+    def _send(proc, base: str, entries) -> None:
+        """Write every path, close the process's input, then wait for it to exit."""
+        # the pipe is closed even when the process stopped reading: predict_file reports why
+        with contextlib.suppress(OSError), proc.stdin:
             for e in entries:
-                stdin.write(os.path.abspath(base + e.output_path) + "\n")
-            stdin.flush()
-        except OSError:
-            pass  # the process stopped reading: predict_file reports why
+                proc.stdin.write(os.path.abspath(base + e.output_path) + "\n")
+        proc.wait()
 
     def predict_file(self, path: str) -> str:
         """Read the answer to ``path``, which ``predict`` has already sent.
@@ -218,36 +218,12 @@ class SubprocessAdapter:
         return line.rstrip("\n")
 
     def close(self) -> None:
-        proc = self._proc
-        if proc is None:
+        if self._proc is None:
             return
-        if not self._sent:  # nothing for it to finish: do not wait for it to load
-            proc.kill()
-        try:
-            proc.stdin.close()
-        except BrokenPipeError:
-            pass  # a path still buffered for a process that has exited
-        proc.stdout.close()
-        # a blocking wait returns as the process exits; wait(timeout=) would poll with
-        # sleeps that overshoot the exit, so a timer bounds the wait instead
-        timed_out = threading.Event()
-
-        def kill() -> None:
-            timed_out.set()
-            proc.kill()
-
-        timer = threading.Timer(CLOSE_WAIT_S, kill)
-        timer.start()
-        try:
-            proc.wait()
-        finally:
-            timer.cancel()
-            timer.join()
-        if timed_out.is_set():
-            raise TimeoutError(
-                f"adapter process {self.command!r} did not exit within {CLOSE_WAIT_S:g} s "
-                "of its input closing; killed it"
-            ) from None
+        self._proc.kill()  # nothing to a process predict has reaped
+        self._proc.stdin.close()
+        self._proc.stdout.close()
+        self._proc.wait()
 
 
 class PredictionsFileAdapter:

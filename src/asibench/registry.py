@@ -115,7 +115,10 @@ def load_registry(text: str) -> ConditionRegistry:
         steps = tuple(
             _parse_step(f, where) for f in fields[2:] if f != "-"
         )
-        conditions.append(Condition(cond_id, fields[1], steps))
+        try:
+            conditions.append(Condition(cond_id, fields[1], steps))
+        except RegistryError as exc:
+            raise RegistryError(f"{where}: {exc}") from None
     return ConditionRegistry(tuple(conditions))
 
 

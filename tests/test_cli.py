@@ -60,6 +60,16 @@ class TestPerturb:
         assert len(read_manifest(out)) == 69 * 6
         assert (out / "run.json").is_file()
 
+    def test_missing_labels_file(self, runner, tmp_path):
+        clean = tmp_path / "clean"
+        clean.mkdir()
+        result = runner.invoke(main, [
+            "perturb", "--corpus", str(clean), "--out", str(tmp_path / "o"),
+        ])
+        assert result.exit_code == 1
+        assert result.output == f"error: labels file not found: {clean / 'labels.csv'}\n"
+        assert not (tmp_path / "o").exists()
+
     def test_missing_corpus_path(self, runner, tmp_path):
         missing = tmp_path / "nope"
         result = runner.invoke(main, [
@@ -379,6 +389,41 @@ class TestEvaluateAndScore:
         assert "error: adapter process" in result.output
         assert "did not exit" in result.output
 
+    def test_a_child_that_reads_every_path_first_scores_as_a_line_by_line_child(
+        self, runner, materialized, tmp_path
+    ):
+        tables = []
+        for source in ("""\
+            import sys
+            for line in sys.stdin:
+                print(line.rsplit("/", 1)[-1].split("_")[0], flush=True)
+        """, """\
+            import signal, sys
+            signal.alarm(30)  # ends the child, and so the run, should its input never end
+            for line in sys.stdin.read().splitlines():
+                print(line.rsplit("/", 1)[-1].split("_")[0])
+        """):
+            result = self._evaluate_with_child(runner, materialized, tmp_path, source)
+            assert result.exit_code == 0, result.output
+            tables.append((tmp_path / "acc.csv").read_bytes())
+        assert tables[0] == tables[1]
+
+    def test_toy_on_a_corpus_without_a_clean_group_is_validation_error(
+        self, runner, materialized, tmp_path
+    ):
+        manifest = materialized / "manifest.csv"
+        lines = manifest.read_text().splitlines()
+        manifest.write_text("\n".join(
+            [lines[0]] + [line for line in lines[1:] if not line.startswith("0,")]
+        ) + "\n")
+        result = runner.invoke(main, [
+            "evaluate", "--corpus", str(materialized), "--adapter", "toy",
+            "--out", str(tmp_path / "acc.csv"),
+        ])
+        assert result.exit_code == 1
+        assert result.output == "error: corpus has no clean group (condition 0) to fit on\n"
+        assert not (tmp_path / "acc.csv").exists()
+
     def test_toy_on_mixed_channel_counts_is_validation_error(self, runner, tmp_path):
         corpus = synthetic_corpus(n_per_class=2, size=12)
         corpus.append(("rgb_00.ppm", "mid", Image(np.full((12, 12, 3), 0.5))))
@@ -671,6 +716,16 @@ class TestEvaluateAndScore:
         assert isinstance(result.exception, SystemExit)
         assert f"error: {table}: accuracy table: line 3: expected 3 fields" in result.output
 
+    def test_score_row_with_a_condition_that_is_not_an_integer(self, runner, tmp_path):
+        table = tmp_path / "acc.csv"
+        table.write_text("classifier,condition,accuracy\na,one,90.0\n")
+        result = runner.invoke(main, ["score", "--table", str(table)])
+        assert result.exit_code == 1
+        assert result.output == (
+            f"error: {table}: accuracy table: line 2: malformed record "
+            "{'classifier': 'a', 'condition': 'one', 'accuracy': '90.0'}\n"
+        )
+
     def test_score_warns_once_per_series_of_fractions(self, runner, tmp_path):
         table = tmp_path / "acc.csv"
         table.write_text("classifier,condition,accuracy\n"
@@ -715,6 +770,14 @@ class TestCompare:
         assert result.exit_code == 0
         assert "+0.000%" in result.output
         assert "tie" in result.output
+
+    @pytest.mark.parametrize("sources", [["--reference", "--scores", "s.csv"], []])
+    def test_both_or_neither_score_source_is_validation_error(self, runner, tmp_path, sources):
+        (tmp_path / "s.csv").write_text("classifier,cv,mean,asi\nR4,2.000,90.000,0.957\n")
+        sources = [str(tmp_path / a) if a == "s.csv" else a for a in sources]
+        result = runner.invoke(main, ["compare", *sources, "R4", "R8"])
+        assert result.exit_code == 1
+        assert result.output == "error: give exactly one of --scores PATH or --reference\n"
 
     def test_unknown_id(self, runner):
         result = runner.invoke(main, ["compare", "--reference", "R4", "R99"])
@@ -916,3 +979,14 @@ class TestReport:
         assert "toy" in result.output
         assert "85.250" in result.output
         assert "0.948" in result.output
+
+    def test_out_holds_the_printed_report(self, runner, tmp_path):
+        scores = tmp_path / "s.csv"
+        scores.write_text("classifier,cv,mean,asi\ntoy,2.276,85.250,0.948\nr,1.0,90.0,0.97\n")
+        printed = runner.invoke(main, ["report", "--scores", str(scores)])
+        assert printed.exit_code == 0
+        out = tmp_path / "report.txt"
+        result = runner.invoke(main, ["report", "--scores", str(scores), "--out", str(out)])
+        assert result.exit_code == 0
+        assert result.output == f"wrote report to {out}\n"
+        assert out.read_bytes() == printed.output.encode()

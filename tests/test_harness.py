@@ -406,8 +406,9 @@ class TestSubprocessAdapter:
                     sys.stdout.writelines(batch)
                     sys.stdout.flush()
                     batch = []
+            sys.stdout.writelines(batch)  # the last, partial batch, at end of input
         """)
-        names = [f"img_{i:04d}.pgm" for i in range(400)]
+        names = [f"img_{i:04d}.pgm" for i in range(450)]
         assert predict_within(adapter, "/", names, seconds=10) == ["/" + n for n in names]
 
     def test_a_path_that_cannot_be_sent_is_refused_before_any_path_is_sent(self, tmp_path):
@@ -510,25 +511,74 @@ class TestSubprocessAdapter:
             print("a", flush=True)
             time.sleep(60)
         """)
-        assert adapter.predict(tmp_path, stream(["1.pgm"])) == ["a"]
-        proc = adapter._proc
-        with pytest.raises(TimeoutError, match="killed"):
+        try:
+            with pytest.raises(TimeoutError, match="of its last answer; killed it"):
+                adapter.predict(tmp_path, stream(["1.pgm"]))
+        finally:
             adapter.close()
-        assert proc.returncode is not None
+        assert adapter._proc.returncode is not None
 
     @pytest.mark.parametrize("lingers", [False, True])
     def test_close_leaves_no_thread_behind(self, tmp_path, monkeypatch, lingers):
-        # the timer that bounds close's wait ends with it, whether or not it fired
+        # the writer ends with predict, whether or not the child exits in time
         monkeypatch.setattr(harness, "CLOSE_WAIT_S", 0.2)
         linger = "    import time; time.sleep(60)\n" if lingers else ""
         adapter = child_adapter(tmp_path, ECHO + linger)
-        assert adapter.predict(tmp_path, stream(["1.pgm"])) == [str(tmp_path / "1.pgm")]
         before = threading.active_count()
-        if lingers:
-            with pytest.raises(TimeoutError, match="killed"):
-                adapter.close()
-        else:
+        try:
+            if lingers:
+                with pytest.raises(TimeoutError, match="killed"):
+                    adapter.predict(tmp_path, stream(["1.pgm"]))
+            else:
+                assert adapter.predict(tmp_path, stream(["1.pgm"])) == [str(tmp_path / "1.pgm")]
+        finally:
             adapter.close()
+        assert threading.active_count() == before
+        assert adapter._proc.returncode is not None
+
+    def test_a_child_that_reads_every_path_before_answering_gets_every_answer(self, tmp_path):
+        adapter = child_adapter(tmp_path, """\
+            import sys
+            sys.stdout.write(sys.stdin.read())
+        """)
+        names = [f"img_{i:04d}.pgm" for i in range(50)]
+        assert predict_within(adapter, "/", names, seconds=10) == ["/" + n for n in names]
+
+    def test_predict_reaps_the_child_before_it_returns(self, tmp_path, monkeypatch):
+        adapter = child_adapter(tmp_path, ECHO + "    sys.exit(7)\n")
+        status_at_close = []
+        close = adapter.close
+
+        def recorded():
+            status_at_close.append(adapter._proc.returncode)
+            close()
+
+        monkeypatch.setattr(adapter, "close", recorded)
+        assert predict_within(adapter, "/", ["a.pgm", "b.pgm"], seconds=10) == ["/a.pgm", "/b.pgm"]
+        assert status_at_close == [7]
+
+    def test_a_child_that_answers_without_reading_its_input_is_killed(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(harness, "CLOSE_WAIT_S", 0.2)
+        adapter = child_adapter(tmp_path, """\
+            import sys, time
+            sys.stdout.write("x\\n" * int(sys.argv[1]))
+            sys.stdout.flush()
+            time.sleep(60)
+        """, 192)
+        # these paths are many times what a pipe buffers, so the writer blocks
+        root = f"/{'d' * 4000}"
+        names = [f"img_{i:04d}.pgm" for i in range(192)]
+        before = threading.active_count()
+        begun = time.monotonic()
+        error = predict_within(adapter, root, names, seconds=10)
+        assert time.monotonic() - begun < 2.5  # a quarter of the unpatched bound
+        assert isinstance(error, TimeoutError)
+        assert str(error) == (
+            f"adapter process {adapter.command!r} did not exit within 0.2 s "
+            "of its last answer; killed it"
+        )
         assert threading.active_count() == before
         assert adapter._proc.returncode is not None
 

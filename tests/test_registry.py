@@ -111,6 +111,18 @@ class TestRegistryDocument:
         with pytest.raises(RegistryError, match="clean"):
             load_registry("1 | only | SP 0.1 | -\n")
 
+    @pytest.mark.parametrize("line,message", [
+        ("-1 | x | SP 0.1 | -", "line 3: condition id must be >= 0, got -1"),
+        ("2 | x | SP | -", "line 3: step must be 'KIND INTENSITY', got 'SP'"),
+        ("2 | x | SP x | -", "line 3: bad intensity 'x'"),
+        ("2 | x | SP 0.1", "line 3: expected 4 '|'-separated fields"),
+        ("one | x | SP 0.1 | -", "line 3: bad condition id 'one'"),
+    ])
+    def test_a_bad_line_is_named_with_its_number(self, line, message):
+        doc = f"0 | clean | - | -\n\n{line}\n"
+        with pytest.raises(RegistryError, match=f"^{re.escape(message)}$"):
+            load_registry(doc)
+
     def test_comments_and_blank_lines_ignored(self):
         doc = "# header\n\n0 | clean | - | -\n1 | sp | SP 0.1 | -\n"
         assert len(load_registry(doc).conditions) == 2
