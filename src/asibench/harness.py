@@ -56,7 +56,7 @@ class ToyClassifierAdapter:
         self._labels = sorted(groups)
         self._centroids = [np.mean(groups[label], axis=0) for label in self._labels]
 
-    def _features(self, data: bytes, path: str | Path) -> np.ndarray:
+    def _features(self, data: bytes, path: str) -> np.ndarray:
         """Per-channel mean and standard deviation of the decoded pixels / 255.
 
         The same ufunc steps as ``np.mean`` and ``np.std`` (sum, divide; subtract,
@@ -88,10 +88,9 @@ class ToyClassifierAdapter:
         np.sqrt(std, out=std)
         return feat
 
-    def predict(self, root: Path, files) -> list[str]:
+    def predict(self, root: str, files) -> list[str]:
         """Fit on this corpus's condition 0, then label every image from its verified bytes."""
         self._channels = 0
-        root = os.fspath(root)
         features, clean, labels = [], [], []
         # one background thread reads and checks the next files while these are decoded
         ahead = registry._ahead(files, READ_AHEAD_FILES, "asibench-reader")
@@ -156,7 +155,7 @@ class SubprocessAdapter:
     def _exited(self) -> str:
         return f"adapter process {self.command!r} exited with status {self._proc.returncode}"
 
-    def predict(self, root: Path, files) -> list[str]:
+    def predict(self, root: str, files) -> list[str]:
         """Start the process, check every file, then send each one's path under ``root``.
 
         Every path is checked for a line break and for its encoding before the
@@ -164,20 +163,18 @@ class SubprocessAdapter:
         """
         proc = self._ensure()  # the process loads while the files are checked
         entries = [e for e, _ in files]
-        # read_manifest refuses absolute output paths, so base + path is os.path.join
-        base = os.path.join(root, "")
         for e in entries:
-            path = base + e.output_path
+            path = os.path.join(root, e.output_path)
             if "\r" in path or "\n" in path:
                 raise AdapterError(f"sending a path failed: {path!r}: it holds a line break")
             try:
                 path.encode(proc.stdin.encoding)
             except UnicodeEncodeError as exc:
                 raise AdapterError(f"sending a path failed: {path}: {exc}") from None
-        writer = threading.Thread(target=self._send, args=(proc, base, entries), daemon=True)
+        writer = threading.Thread(target=self._send, args=(proc, root, entries), daemon=True)
         writer.start()
         try:
-            return [self.predict_file(base + e.output_path) for e in entries]
+            return [self.predict_file(os.path.join(root, e.output_path)) for e in entries]
         except BaseException:
             proc.kill()  # unblocks the writer; the process is never used again
             raise
@@ -192,12 +189,12 @@ class SubprocessAdapter:
                 )
 
     @staticmethod
-    def _send(proc, base: str, entries) -> None:
+    def _send(proc, root: str, entries) -> None:
         """Write every path, close the process's input, then wait for it to exit."""
         # the pipe is closed even when the process stopped reading: predict_file reports why
         with contextlib.suppress(OSError), proc.stdin:
             for e in entries:
-                proc.stdin.write(os.path.abspath(base + e.output_path) + "\n")
+                proc.stdin.write(os.path.join(root, e.output_path) + "\n")
         proc.wait()
 
     def predict_file(self, path: str) -> str:
@@ -213,6 +210,8 @@ class SubprocessAdapter:
                 f"adapter process gave an undecodable answer for {path}: {exc}"
             ) from None
         if line == "":
+            with contextlib.suppress(subprocess.TimeoutExpired):
+                self._proc.wait(CLOSE_WAIT_S)  # output ends a moment before the exit is reaped
             reason = self._exited() if self._proc.poll() is not None else "it closed its output"
             raise AdapterError(f"adapter process gave no response for {path}: {reason}")
         return line.rstrip("\n")
@@ -243,7 +242,7 @@ class PredictionsFileAdapter:
                     raise ParameterError(f"{where}: repeated path {row['path']!r}")
                 self._labels[key] = row["label"]
 
-    def predict(self, root: Path, files) -> list[str]:
+    def predict(self, root: str, files) -> list[str]:
         """Check every file, then look up each entry's manifest path."""
         entries = [e for e, _ in files]
         return [self.predict_file(e.output_path) for e in entries]
@@ -275,18 +274,21 @@ def evaluate(adapter, corpus_dir: str | Path, classifier_id: str = "classifier")
     """Measure per-condition accuracy of an adapter over a materialized corpus.
 
     The manifest entries are taken by condition id, then in manifest order.
-    In that order, one ``adapter.predict(root, files)`` call gets the
-    resolved corpus root and the ``verified_files`` stream of
+    In that order, one ``adapter.predict(root, files)`` call gets ``root``,
+    the corpus directory as an absolute path with its symlinks resolved,
+    and the ``verified_files(root, entries)`` stream of
     ``(manifest entry, file bytes)`` pairs, and must give one label per
-    entry. Whatever the adapter leaves unread is checked after it returns,
-    so no accuracy is reported unless every file matched its manifest
-    checksum. Any non-matching label, including an empty one, counts as
-    incorrect.
+    entry. Each corpus file has one name, ``os.path.join(root,
+    entry.output_path)``: the string verification opened, the path a
+    ``subprocess:`` command is sent, and the one an error names. Whatever
+    the adapter leaves unread is checked after it returns, so no accuracy is
+    reported unless every file matched its manifest checksum. Any
+    non-matching label, including an empty one, counts as incorrect.
     """
-    corpus_dir = Path(corpus_dir)
+    root = os.path.realpath(corpus_dir)
     entries = sorted(read_manifest(corpus_dir), key=lambda e: e.condition_id)
-    with contextlib.closing(verified_files(corpus_dir, entries)) as files:
-        predicted = adapter.predict(corpus_dir.resolve(), files)
+    with contextlib.closing(verified_files(root, entries)) as files:
+        predicted = adapter.predict(root, files)
         for _ in files:  # verify whatever the adapter left unread
             pass
     if len(predicted) != len(entries):

@@ -456,7 +456,7 @@ def read_manifest(corpus_dir: str | Path) -> list[ManifestEntry]:
 _MISSING = (FileNotFoundError, IsADirectoryError, NotADirectoryError)
 
 
-def _verified(root: str, entry: ManifestEntry) -> bytes:
+def _verified(root: str | Path, entry: ManifestEntry) -> bytes:
     """Check the entry's file against its checksum; return the bytes that were hashed.
 
     The file goes through ``sha256_file``, looked up on every call so that a
@@ -474,14 +474,15 @@ def _verified(root: str, entry: ManifestEntry) -> bytes:
 
 
 def verified_files(
-    corpus_dir: str | Path, entries: list[ManifestEntry]
+    root: str | Path, entries: list[ManifestEntry]
 ) -> Iterator[tuple[ManifestEntry, bytes]]:
     """Yield each entry with its file's bytes, read once and matched to its checksum.
 
     A generator: each file is read and hashed, in the order of ``entries``,
     on the thread that pulls it, and the bytes yielded are the bytes that were
-    hashed. The first missing or altered file raises ``ManifestError`` at its
-    position, and no later file is read.
+    hashed. The file opened, and named by any error, is the string
+    ``os.path.join(root, entry.output_path)``, with the output path spelled
+    as the manifest spells it. The first missing or altered file raises
+    ``ManifestError`` at its position, and no later file is read.
     """
-    root = str(Path(corpus_dir))
     return ((e, _verified(root, e)) for e in entries)

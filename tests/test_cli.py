@@ -484,7 +484,7 @@ class TestEvaluateAndScore:
         self, runner, materialized, tmp_path, adapter
     ):
         entries = read_manifest(materialized)
-        victim = materialized / entries[-1].output_path
+        victim = materialized.resolve() / entries[-1].output_path
         data = bytearray(victim.read_bytes())
         data[-1] ^= 0x01
         victim.write_bytes(bytes(data))
@@ -565,7 +565,7 @@ class TestEvaluateAndScore:
     ):
         entries = read_manifest(materialized)
         # the first file of the last group, so that every earlier file verifies
-        victim = materialized / next(
+        victim = materialized.resolve() / next(
             e.output_path for e in entries if e.condition_id == entries[-1].condition_id
         )
         leave_no_plain_file(victim, damage)
@@ -585,7 +585,7 @@ class TestEvaluateAndScore:
         self, runner, materialized, tmp_path
     ):
         entries = read_manifest(materialized)
-        victim = materialized / entries[-1].output_path
+        victim = materialized.resolve() / entries[-1].output_path
         data = bytearray(victim.read_bytes())
         data[-1] ^= 0x01
         victim.write_bytes(bytes(data))
@@ -653,7 +653,7 @@ class TestEvaluateAndScore:
             "--out", str(tmp_path / "acc.csv"),
         ])
         assert result.exit_code == 0, result.output
-        assert hashed == [materialized / e.output_path for e in entries]
+        assert hashed == [materialized.resolve() / e.output_path for e in entries]
 
     @pytest.mark.parametrize("message", ["repeated path", "expected 2 fields"])
     def test_bad_predictions_file_row_exits_1(self, runner, materialized, tmp_path, message):

@@ -4,6 +4,7 @@ import io
 import os
 import re
 import shlex
+import shutil
 import sys
 import textwrap
 import threading
@@ -15,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from asibench import harness
+from asibench import harness, registry
 from asibench.errors import AdapterError, ManifestError, ParameterError
 from asibench.image import Image, netpbm_bytes
 from asibench.harness import (
@@ -317,6 +318,33 @@ class TestSubprocessAdapter:
         adapter.close()
         assert adapter._proc.stdin.closed and adapter._proc.stdout.closed
 
+    def test_a_child_that_exits_before_answering_is_named_by_its_exit_status(self, corpus):
+        # its output ends a moment before it can be reaped; predict waits for the status
+        first = os.path.join(corpus.resolve(), evaluation_order(corpus)[0].output_path)
+        command = shlex.join([sys.executable, "-c", "import sys; sys.exit(3)"])
+        for _ in range(20):
+            adapter = SubprocessAdapter(command)
+            try:
+                with pytest.raises(AdapterError) as caught:
+                    evaluate(adapter, corpus)
+            finally:
+                adapter.close()
+            assert str(caught.value) == (
+                f"adapter process gave no response for {first}: "
+                f"adapter process {command!r} exited with status 3"
+            )
+
+    def test_a_child_that_closes_its_output_and_runs_on_is_killed(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "CLOSE_WAIT_S", 0.2)
+        adapter = child_adapter(tmp_path, """\
+            import os, time
+            os.close(1)
+            time.sleep(60)
+        """)
+        error = predict_within(adapter, "/", ["a.pgm"], seconds=10)
+        assert str(error) == "adapter process gave no response for /a.pgm: it closed its output"
+        assert adapter._proc.returncode is not None
+
     def test_child_receives_manifest_paths_under_resolved_root(
         self, tmp_path, corpus, monkeypatch
     ):
@@ -603,6 +631,81 @@ LOG_AND_ANSWER_X = """\
             log.write(line)
             print("x", flush=True)
 """
+
+
+class TestOneNamePerCorpusFile:
+    """A subprocess: child is sent each file by the string that verification opened."""
+
+    # an oracle while the file it is sent is there: names carry the true label
+    LOG_AND_ANSWER = """\
+        import os, sys
+        with open(sys.argv[1], "w") as log:
+            for line in sys.stdin:
+                log.write(line)
+                path = line.rstrip("\\n")
+                label = os.path.basename(path).split("_")[0]
+                print(label if os.path.isfile(path) else "missing", flush=True)
+    """
+
+    @classmethod
+    def evaluate_logged(cls, tmp_path, corpus_dir, monkeypatch):
+        """The series, the strings sha256_file was called with, and the child's input lines."""
+        opened = []
+        sha256_file = registry.sha256_file
+
+        def spy(path):
+            opened.append(path)
+            return sha256_file(path)
+
+        monkeypatch.setattr(registry, "sha256_file", spy)
+        received = tmp_path / "received.txt"
+        adapter = child_adapter(tmp_path, cls.LOG_AND_ANSWER, received)
+        try:
+            series = evaluate(adapter, corpus_dir)
+        finally:
+            adapter.close()
+        return series, opened, received.read_text().splitlines()
+
+    def test_from_a_relative_corpus_path(self, tmp_path, corpus, monkeypatch):
+        monkeypatch.chdir(corpus.parent)
+        series, opened, received = self.evaluate_logged(tmp_path, corpus.name, monkeypatch)
+        assert received == opened
+        assert received == [
+            os.path.join(corpus.resolve(), e.output_path) for e in evaluation_order(corpus)
+        ]
+        assert all(acc == 100.0 for acc in series.accuracies())
+
+    def test_with_a_dot_segment_in_a_manifest_row(self, tmp_path, corpus, monkeypatch):
+        manifest = corpus / MANIFEST_NAME
+        manifest.write_text(
+            manifest.read_text().replace("cond_000/dark_00.pgm", "cond_000/./dark_00.pgm")
+        )
+        series, opened, received = self.evaluate_logged(tmp_path, corpus, monkeypatch)
+        assert received == opened
+        assert os.path.join(corpus.resolve(), "cond_000/./dark_00.pgm") in received
+        assert all(acc == 100.0 for acc in series.accuracies())
+
+    def test_through_a_symlinked_group_the_child_opens_the_file_that_was_verified(
+        self, tmp_path, small_corpus, monkeypatch
+    ):
+        # cond_000 leads into a copy, so cond_000/.. is the copy's root, not this corpus's
+        corpus, copy = tmp_path / "corpus", tmp_path / "copy"
+        materialize(small_corpus, tiny_registry(), 5, corpus)
+        shutil.copytree(corpus, copy)
+        shutil.rmtree(corpus / "cond_000")
+        (corpus / "cond_000").symlink_to(copy / "cond_000", target_is_directory=True)
+        manifest = corpus / MANIFEST_NAME
+        text = manifest.read_text()
+        assert text.count("cond_001/dark_00.pgm") == 1
+        manifest.write_text(
+            text.replace("cond_001/dark_00.pgm", "cond_000/../cond_001/dark_00.pgm")
+        )
+        (corpus / "cond_001" / "dark_00.pgm").unlink()
+        series, opened, received = self.evaluate_logged(tmp_path, corpus, monkeypatch)
+        assert received == opened
+        assert os.path.join(corpus.resolve(), "cond_000/../cond_001/dark_00.pgm") in received
+        assert all(os.path.isfile(path) for path in received)
+        assert all(acc == 100.0 for acc in series.accuracies())
 
 
 class TestEvaluationOrder:
