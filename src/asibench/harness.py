@@ -91,19 +91,20 @@ class ToyClassifierAdapter:
     def predict(self, root: str, files) -> list[str]:
         """Fit on this corpus's condition 0, then label every image from its verified bytes."""
         self._channels = 0
-        features, clean, labels = [], [], []
-        # one background thread reads and checks the next files while these are decoded
-        ahead = registry._ahead(files, READ_AHEAD_FILES, "asibench-reader")
-        with contextlib.closing(ahead):
-            for entry, data in ahead:
-                feat = self._features(data, os.path.join(root, entry.output_path))
-                features.append(feat)
+        clean, labels = [], []  # the positions of condition 0's files, and their labels
+
+        def passed():
+            for i, (entry, data) in enumerate(files):
                 if entry.condition_id == 0:
-                    clean.append(feat)
+                    clean.append(i)
                     labels.append(entry.true_label)
+                yield data, os.path.join(root, entry.output_path)
+
+        # files are read and checked on this thread; one background thread decodes them
+        features = registry._behind(self._features, passed(), READ_AHEAD_FILES, "asibench-toy")
         if not clean:
             raise AdapterError("corpus has no clean group (condition 0) to fit on")
-        self.fit(clean, labels)
+        self.fit([features[i] for i in clean], labels)
         return [self.predict_file(feat) for feat in features]
 
     def predict_file(self, feat: np.ndarray) -> str:
@@ -273,20 +274,22 @@ def make_adapter(spec: str):
 def evaluate(adapter, corpus_dir: str | Path, classifier_id: str = "classifier") -> AccuracySeries:
     """Measure per-condition accuracy of an adapter over a materialized corpus.
 
-    The manifest entries are taken by condition id, then in manifest order.
-    In that order, one ``adapter.predict(root, files)`` call gets ``root``,
-    the corpus directory as an absolute path with its symlinks resolved,
-    and the ``verified_files(root, entries)`` stream of
-    ``(manifest entry, file bytes)`` pairs, and must give one label per
-    entry. Each corpus file has one name, ``os.path.join(root,
-    entry.output_path)``: the string verification opened, the path a
-    ``subprocess:`` command is sent, and the one an error names. Whatever
+    The manifest is read from ``root``, the corpus directory as an absolute
+    path with its symlinks resolved, and its entries are taken by condition
+    id, then in manifest order. In that order, one
+    ``adapter.predict(root, files)`` call gets ``root`` and the
+    ``verified_files(root, entries)`` stream of ``(manifest entry, file
+    bytes)`` pairs, and must give one label per entry. Each corpus file has
+    one name, ``os.path.join(root, entry.output_path)``: the string
+    verification opened, the path a ``subprocess:`` command is sent, and
+    the one an error names; manifest errors name the manifest under
+    ``root`` too. Whatever
     the adapter leaves unread is checked after it returns, so no accuracy is
     reported unless every file matched its manifest checksum. Any
     non-matching label, including an empty one, counts as incorrect.
     """
     root = os.path.realpath(corpus_dir)
-    entries = sorted(read_manifest(corpus_dir), key=lambda e: e.condition_id)
+    entries = sorted(read_manifest(root), key=lambda e: e.condition_id)
     with contextlib.closing(verified_files(root, entries)) as files:
         predicted = adapter.predict(root, files)
         for _ in files:  # verify whatever the adapter left unread

@@ -10,7 +10,6 @@ runs can be verified byte-for-byte.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import hashlib
 import os
@@ -157,7 +156,7 @@ def sha256_file(path: str | Path) -> tuple[bytes, str]:
     return data, hashlib.sha256(data).hexdigest()
 
 
-WRITE_BEHIND_FILES = 32  # computed files that may wait for the calling thread to write them
+WRITE_BEHIND_FILES = 32  # computed files that may wait for the background thread to write them
 _CREATE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_BINARY", 0)
 
 
@@ -173,49 +172,48 @@ def _write_file(path: str, data: bytes) -> None:
         os.close(fd)
 
 
-def _ahead(items: Iterable, size: int, name: str) -> Iterator:
-    """Yield ``items`` in order, advanced by one background thread up to ``size`` ahead.
+def _behind(fn, items: Iterable, size: int, name: str) -> list:
+    """Return ``[fn(*item) for item in items]``, with ``fn`` called on one background thread.
 
-    The thread starts on the first ``next`` and does nothing but advance
-    ``items``. The first exception it meets is raised here, at that item's
-    position, and ends the stream. The thread checks for a stop before it
-    computes each next item; once the stream is exhausted, has failed or is
-    closed, it finishes at most the item in hand, and it has ended when this
-    generator has.
+    This thread advances ``items`` and queues each item; the background
+    thread takes them in order and calls ``fn``, at most ``size`` items
+    behind, so the items are made, and their buffers allocated, on the
+    calling thread. The first error in stream order is raised here. Once
+    either side fails, no further item is begun. After an error of this
+    thread, ``fn`` still runs on the items queued before it, since an error
+    of ``fn`` there comes earlier in the stream; after an error of ``fn``,
+    the rest are taken but not worked on. The background thread has ended
+    before this returns or raises, and ``fn``'s error is raised if it met
+    one, this thread's own otherwise.
     """
     # imported here so that importing the CLI does not pay for them
     import queue
     import threading
 
-    it = iter(items)
-    ready = queue.Queue(size)  # (item,), then None at the end or the exception met
-    stop = threading.Event()
+    todo = queue.Queue(size)  # items not yet taken, then None at the end
+    results, failed = [], []  # fn's results in order; the error fn raised, if any
 
-    def advance() -> None:
-        while not stop.is_set():
-            try:
-                ready.put((next(it),))
-            except StopIteration:
-                ready.put(None)
-                return
-            except BaseException as exc:  # raised again in the caller, at this item
-                ready.put(exc)
-                return
+    def work() -> None:
+        # after fn's error, the rest is still taken: the caller may be blocked on put
+        while (item := todo.get()) is not None:
+            if not failed:
+                try:
+                    results.append(fn(*item))
+                except BaseException as exc:  # raised again in the caller
+                    failed.append(exc)
 
-    thread = threading.Thread(target=advance, name=name, daemon=True)
+    thread = threading.Thread(target=work, name=name, daemon=True)
     thread.start()
     try:
-        while (got := ready.get()) is not None:
-            if isinstance(got, BaseException):
-                raise got
-            yield got[0]
+        it = iter(items)
+        while not failed and (item := next(it, None)) is not None:
+            todo.put(item)
     finally:
-        # once stopped, the thread puts at most one more entry, and a drained
-        # queue has room for it
-        stop.set()
-        while not ready.empty():
-            ready.get_nowait()
+        todo.put(None)  # the thread takes every item, so there is room for it
         thread.join()
+        if failed:
+            raise failed[0]
+    return results
 
 
 def _group_dir(cond: Condition) -> str:
@@ -229,17 +227,19 @@ def _image_files(
     conditions: tuple[Condition, ...],
     seed: int,
     out_dir: Path,
+    digests: bytearray,
     stop=None,
-) -> Iterator[tuple[str, bytes, bytes]]:
+) -> Iterator[tuple[str, bytes]]:
     """Compute every condition's file of the clean images at ``indices``, one image at a time.
 
-    Yields (path, bytes, sha256 digest) for each file, image by image and,
-    within an image, in registry order. A clean image given by its path is
-    read when its turn comes, so only one is held at a time. A rotation draws
-    no randomness, so each image is rotated once per distinct first-step
-    angle; each condition then finishes its later steps from that rotation
-    with the sub-seed derive_seed(seed, condition_id, image_index), as if it
-    ran alone. Once ``stop`` (an event) is set, no further image is begun.
+    Yields (path, bytes) for each file, image by image and, within an image,
+    in registry order, and first appends the bytes' 32-byte sha256 digest to
+    ``digests``. A clean image given by its path is read when its turn
+    comes, so only one is held at a time. A rotation draws no randomness, so
+    each image is rotated once per distinct first-step angle; each condition
+    then finishes its later steps from that rotation with the sub-seed
+    derive_seed(seed, condition_id, image_index), as if it ran alone. Once
+    ``stop`` (an event) is set, no further image is begun.
     """
     for idx in indices:
         if stop is not None and stop.is_set():
@@ -259,7 +259,8 @@ def _image_files(
             if rest:
                 base = apply_sequence(base, rest, derive_seed(seed, cond.id, idx), start=skip)
             data = netpbm_bytes(base)
-            yield os.path.join(out_dir, _group_dir(cond), name), data, hashlib.sha256(data).digest()
+            digests += hashlib.sha256(data).digest()
+            yield os.path.join(out_dir, _group_dir(cond), name), data
 
 
 def _write_images(
@@ -273,20 +274,17 @@ def _write_images(
     """Write every condition's file of the clean images at ``indices``; return their digests.
 
     The 32-byte sha256 digests are concatenated in the order of
-    ``_image_files``. The files are computed by ``_image_files`` on one
-    background thread, up to ``WRITE_BEHIND_FILES`` ahead, and written on
-    this one, which calls nothing else meanwhile: every kernel call of the
-    stream is on the one thread. The first error either thread meets is
-    raised here, and the background thread has ended by then. Once ``stop``
-    is set, no further image is begun and the digests so far are returned.
+    ``_image_files``. The files are computed by ``_image_files`` on this
+    thread, so every kernel call and every large buffer of the stream is
+    here, and written by ``_behind``'s background thread, which may fall
+    ``WRITE_BEHIND_FILES`` files behind. The first error in stream order is
+    raised here, and the background thread has ended by then. Once
+    ``stop`` is set, no further image is begun and the digests so far are
+    returned.
     """
     digests = bytearray()
-    files = _ahead(_image_files(clean, indices, conditions, seed, out_dir, stop),
-                   WRITE_BEHIND_FILES, "asibench-perturb")
-    with contextlib.closing(files):
-        for path, data, digest in files:
-            _write_file(path, data)
-            digests += digest
+    files = _image_files(clean, indices, conditions, seed, out_dir, digests, stop)
+    _behind(_write_file, files, WRITE_BEHIND_FILES, "asibench-writer")
     return digests
 
 
@@ -381,10 +379,10 @@ def materialize(
 
     The work goes one clean image at a time: each image is rotated once per
     distinct first-step angle, then every condition is finished from there,
-    on a background thread, while the calling thread writes the files
-    already finished. ``jobs`` caps the worker processes, and so does the CPU
-    count; of W workers, worker k takes the images k, k + W, k + 2W, ..., so
-    a worker may have none. With one worker every file is written in this
+    while a background thread writes the files already finished. ``jobs``
+    caps the worker processes, and so does the CPU count; of W workers,
+    worker k takes the images k, k + W, k + 2W, ..., so a worker may have
+    none. With one worker every file is written in this
     process. The first error in a worker stops the others at their next
     image, and the caller gets it. The manifest is in registry order, then
     image order, whatever the scheduling.

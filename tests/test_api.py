@@ -1,5 +1,6 @@
 import ast
 import importlib
+import importlib.util
 import json
 import os
 import pkgutil
@@ -101,9 +102,33 @@ def thread_and_queue_constructions(source: str) -> list[str]:
 
 
 def test_the_registry_has_one_background_stream():
-    # perturb's writes and evaluate's reads share registry._ahead: one thread, one queue
+    # perturb's writes and the toy's decoding share registry._behind: one thread, one queue
     source = (Path(asibench.__file__).parent / "registry.py").read_text(encoding="utf-8")
     assert sorted(thread_and_queue_constructions(source)) == ["queue.Queue", "threading.Thread"]
+
+
+# Names the benchmark's tracer wraps although the program no longer has them; a span
+# over one of them reads 0.
+STALE_TRACED_NAMES = {
+    ("harness", "read_netpbm"),
+    ("cli", "read_netpbm"),
+    ("registry", "verify_manifest"),
+    ("harness", "verify_manifest"),
+    ("harness", "load_accuracy_table"),
+}
+
+
+def test_every_name_the_benchmark_traces_resolves():
+    """Each (owner, attr) that perfbench/tracing.py wraps exists, but for the known stale ones."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    targets = [t for _, owners, _ in tracing.PATCHES for t in owners]
+    targets.append(("harness.SubprocessAdapter", "_ensure"))  # the spawn counter
+    missing = {(owner, attr) for owner, attr in targets
+               if not callable(getattr(tracing._resolve(owner), attr, None))}
+    assert missing - STALE_TRACED_NAMES == set()
 
 
 # Runs in a fresh interpreter: what `import asibench.cli` and the light commands load,

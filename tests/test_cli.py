@@ -581,6 +581,34 @@ class TestEvaluateAndScore:
         assert not (tmp_path / "acc.csv").exists()
         assert not received.exists() or received.read_text() == ""
 
+    @pytest.mark.parametrize("damage", ["empty_label", "deleted"])
+    def test_a_relative_corpus_is_named_by_its_absolute_root(
+        self, runner, materialized, monkeypatch, damage
+    ):
+        # from the corpus's parent directory, as a user types a relative --corpus
+        monkeypatch.chdir(materialized.parent)
+        root = os.path.realpath(materialized)
+        entries = read_manifest(materialized)
+        if damage == "empty_label":
+            manifest = materialized / "manifest.csv"
+            lines = manifest.read_text().splitlines()
+            cells = lines[1].split(",")
+            cells[4] = ""
+            lines[1] = ",".join(cells)
+            manifest.write_text("\n".join(lines) + "\n")
+            named = os.path.join(root, "manifest.csv")
+            message = f"{named}: line 2: empty true_label"
+        else:
+            named = os.path.join(root, entries[-1].output_path)
+            os.unlink(named)
+            message = f"missing corpus file: {named}"
+        result = runner.invoke(main, [
+            "evaluate", "--corpus", materialized.name, "--adapter", "toy", "--out", "acc.csv",
+        ])
+        assert result.exit_code == 1
+        assert result.output == f"error: {message}\n"
+        assert not (materialized.parent / "acc.csv").exists()
+
     def test_a_child_still_loading_is_killed_when_verification_fails(
         self, runner, materialized, tmp_path
     ):

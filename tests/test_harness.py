@@ -206,6 +206,25 @@ class TestToyClassifierAdapter:
         evaluate(adapter, tmp_path / "a")
         assert evaluate(adapter, tmp_path / "b") == evaluate(ToyClassifierAdapter(), tmp_path / "b")
 
+    def test_files_are_read_here_and_decoded_on_one_background_thread(self, corpus,
+                                                                       monkeypatch):
+        threads = {"sha256_file": set(), "_features": set()}
+        real_sha256_file, real_features = registry.sha256_file, ToyClassifierAdapter._features
+
+        def sha256_file(path):
+            threads["sha256_file"].add(threading.current_thread().name)
+            return real_sha256_file(path)
+
+        def features(self, data, path):
+            threads["_features"].add(threading.current_thread().name)
+            return real_features(self, data, path)
+
+        monkeypatch.setattr(registry, "sha256_file", sha256_file)
+        monkeypatch.setattr(ToyClassifierAdapter, "_features", features)
+        evaluate(ToyClassifierAdapter(), corpus)
+        assert threads == {"sha256_file": {threading.current_thread().name},
+                           "_features": {"asibench-toy"}}
+
     def test_mixed_channel_counts_name_the_file(self, tmp_path, small_corpus):
         rgb = Image(np.full((16, 16, 3), 0.5))
         materialize(small_corpus[:3] + [("rgb.ppm", "mid", rgb)], tiny_registry(), 5, tmp_path)
@@ -761,7 +780,7 @@ class TestEvaluateMemory:
     @pytest.mark.parametrize("kind", ["toy", "subprocess"])
     def test_peak_grows_under_800_b_per_file(self, tmp_path, monkeypatch, kind):
         """evaluate's traced peak grows by less than 800 B per corpus file."""
-        # each peak holds the files read ahead of the toy classifier; with one at most,
+        # each peak holds the files waiting for the toy's decoding thread; with one at most,
         # thread timing cannot make the two peaks hold different numbers of them
         monkeypatch.setattr(harness, "READ_AHEAD_FILES", 1)
         clean = synthetic_corpus(n_per_class=8, size=16)

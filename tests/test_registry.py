@@ -1,5 +1,5 @@
 import collections
-import gc
+import hashlib
 import itertools
 import multiprocessing
 import os
@@ -15,7 +15,7 @@ import pytest
 from asibench.errors import ManifestError, ParameterError, RegistryError
 from asibench.image import Image, read_netpbm, write_netpbm, netpbm_bytes
 from asibench import image as image_module
-from asibench import harness, perturb, registry
+from asibench import perturb, registry
 from asibench.perturb import Kind, apply_sequence, derive_seed
 from asibench.registry import (
     Condition,
@@ -375,6 +375,24 @@ class TestUnitsOfWork:
             )
             assert (tmp_path / e.output_path).read_bytes() == expected, e
 
+    def test_files_are_computed_here_and_written_on_one_background_thread(
+        self, tmp_path, small_corpus, monkeypatch
+    ):
+        threads = {}
+        for owner, name in [(perturb, "rotate"), (perturb, "apply_gaussian_noise"),
+                            (registry, "netpbm_bytes"), (registry, "_write_file")]:
+            threads[name] = set()
+
+            def recorded(*args, fn=getattr(owner, name), name=name):
+                threads[name].add(threading.current_thread().name)
+                return fn(*args)
+
+            monkeypatch.setattr(owner, name, recorded)
+        materialize(small_corpus[:5], load_registry(INTERLEAVED), 31, tmp_path)
+        here = threading.current_thread().name
+        assert threads == {"rotate": {here}, "apply_gaussian_noise": {here},
+                           "netpbm_bytes": {here}, "_write_file": {"asibench-writer"}}
+
     def test_each_clean_image_is_rotated_once_per_angle(self, tmp_path, small_corpus,
                                                         monkeypatch):
         calls = collections.Counter()
@@ -621,85 +639,115 @@ class TestBadCleanFile:
         assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
 
 
-class TestReadAhead:
-    """The toy's read-ahead, _ahead over verified_files, reads and hashes on one thread."""
+class Fault(Exception):
+    pass
 
-    @pytest.fixture
-    def corpus(self, tmp_path, small_corpus):
-        materialize(small_corpus[:6], tiny_registry(), 1, tmp_path)
-        entries = read_manifest(tmp_path)
-        assert len(entries) > 2 * harness.READ_AHEAD_FILES  # the queue fills
-        return tmp_path, entries
+
+class TestBehind:
+    """_behind(fn, items, size, name): items advance here, fn runs on one thread behind them."""
+
+    SIZE = 4
 
     @staticmethod
-    def ahead(root, entries):
-        return registry._ahead(verified_files(root, entries), harness.READ_AHEAD_FILES,
-                               "asibench-reader")
+    def items(n, fault_at=None, fault=None):
+        for i in range(n):
+            if i == fault_at:
+                raise fault
+            yield i, bytes([i]) * 64
 
-    @pytest.mark.parametrize("damaged", [None, "missing", "altered"])
-    def test_the_stream_equals_a_sequential_check_under_constant_switching(self, corpus,
-                                                                           damaged):
-        root, entries = corpus
-        victim = root / entries[harness.READ_AHEAD_FILES + 3].output_path
-        if damaged == "missing":
-            victim.unlink()
-        elif damaged == "altered":
-            victim.write_bytes(victim.read_bytes() + b"\0")
+    @staticmethod
+    def fn(fault_at=None, fault=None):
+        def work(i, data):
+            if i == fault_at:
+                raise fault
+            return hashlib.sha256(data).hexdigest()
 
-        def outcome(stream):
-            pairs = []
-            try:
-                for pair in stream:
-                    pairs.append(pair)
-            except ManifestError as exc:
-                return pairs, str(exc)
-            return pairs, None
+        return work
 
-        expected = outcome(verified_files(root, entries))
-        assert (expected[1] is None) == (damaged is None)
+    @staticmethod
+    def outcome(call):
+        try:
+            return call(), None
+        except BaseException as exc:
+            return None, exc
+
+    # the position of fn's fault and of items' fault; with both, fn's comes first in the
+    # stream, but items may reach its own before fn reaches its
+    FAULTS = {"neither": (None, None), "fn": (8, None), "items": (None, 12),
+              "both": (8, 10), "interrupt": (None, 12)}
+
+    @pytest.mark.parametrize("faulty", list(FAULTS))
+    def test_equals_a_sequential_loop_under_constant_switching(self, faulty):
+        fn_at, items_at = self.FAULTS[faulty]
+        fn_fault = Fault("fn fault")
+        items_fault = KeyboardInterrupt() if faulty == "interrupt" else Fault("items fault")
+
+        def run(loop):
+            return self.outcome(lambda: loop(self.fn(fn_at, fn_fault),
+                                             self.items(24, items_at, items_fault)))
+
+        expected = run(lambda fn, items: [fn(*item) for item in items])
+        assert expected[1] is {"neither": None, "fn": fn_fault, "items": items_fault,
+                               "both": fn_fault, "interrupt": items_fault}[faulty]
+        before = threading.active_count()
         interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # switch between the caller and the reader often
+        sys.setswitchinterval(1e-6)  # switch between the caller and the thread often
         try:
             for _ in range(5):
-                assert outcome(self.ahead(root, entries)) == expected
+                got = run(lambda fn, items: registry._behind(fn, items, self.SIZE,
+                                                             "asibench-test"))
+                assert got == expected
+                assert threading.active_count() == before
         finally:
             sys.setswitchinterval(interval)
 
-    @pytest.mark.parametrize("end", ["exhausted", "failed", "closed", "collected"])
-    def test_the_reader_has_ended_however_the_stream_ends(self, corpus, end, monkeypatch):
-        root, entries = corpus
-        if end == "failed":
-            (root / entries[-1].output_path).unlink()
-        reads = []
-        real_verified = registry._verified
+    def test_fn_s_error_wins_over_a_later_one_that_items_met_first(self):
+        fn_fault, items_fault = Fault("fn fault"), Fault("items fault")
+        items_failed = threading.Event()
 
-        def counting_verified(root, entry):
-            reads.append(entry)
-            return real_verified(root, entry)
+        def items():
+            yield from self.items(2)
+            items_failed.set()
+            raise items_fault
 
-        monkeypatch.setattr(registry, "_verified", counting_verified)
+        def fn(i, data):
+            if i == 1:  # fails only after items has
+                assert items_failed.wait(30)
+                raise fn_fault
+            return i
+
         before = threading.active_count()
-        stream = self.ahead(root, entries)
-        assert threading.active_count() == before  # nothing runs before the first next
-        next(stream)
-        # the file taken, a full queue, and one more file waiting for room
-        full = harness.READ_AHEAD_FILES + 2
-        deadline = time.monotonic() + 30
-        while len(reads) < full and time.monotonic() < deadline:
-            time.sleep(0.001)
-        time.sleep(0.01)  # time enough to read further, were the queue unbounded
-        assert reads == entries[:full]
-        assert "asibench-reader" in [t.name for t in threading.enumerate()]
-        if end == "exhausted":
-            assert len(list(stream)) == len(entries) - 1
-        elif end == "failed":
-            with pytest.raises(ManifestError, match="missing corpus file"):
-                list(stream)
-        elif end == "closed":
-            stream.close()
-        else:
-            del stream
-            gc.collect()
+        _, exc = self.outcome(lambda: registry._behind(fn, items(), self.SIZE, "asibench-test"))
+        assert exc is fn_fault
+        assert threading.active_count() == before
+
+    def test_items_run_at_most_size_ahead_of_fn(self):
+        advanced = []
+
+        def items():
+            for i in range(4 * self.SIZE):
+                advanced.append(i)
+                yield (i,)
+
+        seen = []
+
+        def fn(i):
+            if i == 0:
+                # the item taken, a full queue, and one more waiting for room
+                full = self.SIZE + 2
+                deadline = time.monotonic() + 30
+                while len(advanced) < full and time.monotonic() < deadline:
+                    time.sleep(0.001)
+                time.sleep(0.01)  # time enough to advance further, were the queue unbounded
+                seen.append(len(advanced))
+                seen.append(threading.current_thread().name)
+            return -i
+
+        before = threading.active_count()
+        assert registry._behind(fn, items(), self.SIZE, "asibench-test") == [
+            -i for i in range(4 * self.SIZE)
+        ]
+        assert seen == [self.SIZE + 2, "asibench-test"]
         assert threading.active_count() == before
 
 
