@@ -134,10 +134,7 @@ def cmd_evaluate(corpus_dir, adapter_spec, classifier_id, out_path):
     from . import harness
 
     adapter = harness.make_adapter(adapter_spec)
-    try:
-        series = harness.evaluate(adapter, corpus_dir, classifier_id=classifier_id)
-    finally:
-        adapter.close()
+    series = harness.evaluate(adapter, corpus_dir, classifier_id=classifier_id)
     metrics.save_accuracy_table([series], out_path)
     click.echo(f"wrote accuracy table for {classifier_id} ({len(series.entries)} conditions)")
 

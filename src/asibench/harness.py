@@ -112,9 +112,6 @@ class ToyClassifierAdapter:
         distances = [float(np.linalg.norm(feat - c)) for c in self._centroids]
         return self._labels[distances.index(min(distances))]
 
-    def close(self) -> None:
-        pass
-
 
 # Seconds a subprocess adapter has to exit once it has given its last answer.
 CLOSE_WAIT_S = 10.0
@@ -123,14 +120,15 @@ CLOSE_WAIT_S = 10.0
 class SubprocessAdapter:
     """Line-protocol adapter: write an absolute image path, read back a label.
 
-    One process per adapter, serving one request: ``predict`` starts it
-    before checking the corpus, so that it loads meanwhile, and sends no path
-    until every file has been checked. A writer thread sends the paths without
-    waiting for answers, which the pipe paces, then closes the process's input
-    and waits for it to exit; ``predict_file`` reads one answer per path. So the
-    process may answer line by line, in request order, or read every path
-    first and answer at end of input. When an answer cannot be read, the
-    process is killed at once, and so is one still running at ``close``.
+    One process per ``predict`` call, from start to reap: ``predict`` starts
+    it before checking the corpus, so that it loads meanwhile, and sends no
+    path until every file has been checked. A writer thread sends the paths
+    without waiting for answers, which the pipe paces, then closes the
+    process's input and waits for it to exit; ``predict_file`` reads one
+    answer per path. So the process may answer line by line, in request
+    order, or read every path first and answer at end of input. However
+    ``predict`` ends, the process has been killed unless it exited, and its
+    pipes closed and its status reaped, before ``predict`` returns or raises.
     """
 
     def __init__(self, command: str):
@@ -141,53 +139,53 @@ class SubprocessAdapter:
         if not self._argv:
             raise ParameterError(f"adapter spec {'subprocess:' + command!r} names no command")
         self.command = command
-        self._proc = None
+        self._proc = None  # the child of the latest call
 
     def _ensure(self):
-        if self._proc is None:
-            # not line-buffered: the writer thread flushes as it closes the input
-            self._proc = subprocess.Popen(
-                self._argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True
-            )
-        elif self._proc.poll() is not None:
-            raise AdapterError(self._exited())
+        """Start the child of this call; the benchmark counts spawns by this name."""
+        # not line-buffered: the writer thread flushes as it closes the input
+        self._proc = subprocess.Popen(
+            self._argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True
+        )
         return self._proc
 
-    def _exited(self) -> str:
-        return f"adapter process {self.command!r} exited with status {self._proc.returncode}"
-
     def predict(self, root: str, files) -> list[str]:
-        """Start the process, check every file, then send each one's path under ``root``.
+        """Start a process, check every file, then send each one's path under ``root``.
 
         Every path is checked for a line break and for its encoding before the
         first one is sent; the answers come back in order, one per path.
         """
         proc = self._ensure()  # the process loads while the files are checked
-        entries = [e for e, _ in files]
-        for e in entries:
-            path = os.path.join(root, e.output_path)
-            if "\r" in path or "\n" in path:
-                raise AdapterError(f"sending a path failed: {path!r}: it holds a line break")
-            try:
-                path.encode(proc.stdin.encoding)
-            except UnicodeEncodeError as exc:
-                raise AdapterError(f"sending a path failed: {path}: {exc}") from None
-        writer = threading.Thread(target=self._send, args=(proc, root, entries), daemon=True)
-        writer.start()
+        writer = None
         try:
-            return [self.predict_file(os.path.join(root, e.output_path)) for e in entries]
-        except BaseException:
-            proc.kill()  # unblocks the writer; the process is never used again
-            raise
-        finally:
+            entries = [e for e, _ in files]
+            for e in entries:
+                path = os.path.join(root, e.output_path)
+                if "\r" in path or "\n" in path:
+                    raise AdapterError(f"sending a path failed: {path!r}: it holds a line break")
+                try:
+                    path.encode(proc.stdin.encoding)
+                except UnicodeEncodeError as exc:
+                    raise AdapterError(f"sending a path failed: {path}: {exc}") from None
+            writer = threading.Thread(target=self._send, args=(proc, root, entries),
+                                      name="asibench-sender", daemon=True)
+            writer.start()
+            answers = [self.predict_file(os.path.join(root, e.output_path)) for e in entries]
             writer.join(CLOSE_WAIT_S)
-            if writer.is_alive():  # the process neither exits nor reads the rest of its input
-                proc.kill()
+            late = writer.is_alive()  # the process neither exits nor reads the rest of its input
+        finally:
+            proc.kill()  # unblocks the writer; nothing to a process it has reaped
+            if writer is not None:
                 writer.join()
-                raise TimeoutError(
-                    f"adapter process {self.command!r} did not exit within {CLOSE_WAIT_S:g} s "
-                    "of its last answer; killed it"
-                )
+            proc.stdin.close()
+            proc.stdout.close()
+            proc.wait()
+        if late:
+            raise TimeoutError(
+                f"adapter process {self.command!r} did not exit within {CLOSE_WAIT_S:g} s "
+                "of its last answer; killed it"
+            )
+        return answers
 
     @staticmethod
     def _send(proc, root: str, entries) -> None:
@@ -213,17 +211,11 @@ class SubprocessAdapter:
         if line == "":
             with contextlib.suppress(subprocess.TimeoutExpired):
                 self._proc.wait(CLOSE_WAIT_S)  # output ends a moment before the exit is reaped
-            reason = self._exited() if self._proc.poll() is not None else "it closed its output"
+            status = self._proc.poll()
+            reason = ("it closed its output" if status is None else
+                      f"adapter process {self.command!r} exited with status {status}")
             raise AdapterError(f"adapter process gave no response for {path}: {reason}")
         return line.rstrip("\n")
-
-    def close(self) -> None:
-        if self._proc is None:
-            return
-        self._proc.kill()  # nothing to a process predict has reaped
-        self._proc.stdin.close()
-        self._proc.stdout.close()
-        self._proc.wait()
 
 
 class PredictionsFileAdapter:
@@ -255,9 +247,6 @@ class PredictionsFileAdapter:
         if label is None:
             raise AdapterError(f"no prediction recorded for {key}")
         return label
-
-    def close(self) -> None:
-        pass
 
 
 def make_adapter(spec: str):

@@ -1,4 +1,8 @@
+import contextlib
+import glob
 import multiprocessing
+import multiprocessing.resource_tracker
+import os
 import threading
 
 import numpy as np
@@ -53,6 +57,31 @@ def leave_no_plain_file(path, damage):
     path.unlink()
     if damage == "directory":
         path.mkdir()
+
+
+def child_pids():
+    """This process's children as /proc lists them, zombies included; None where
+    /proc has no such list."""
+    lists = glob.glob(f"/proc/{os.getpid()}/task/*/children")
+    if not lists:
+        return None
+    pids = set()
+    for name in lists:
+        with contextlib.suppress(FileNotFoundError):  # a thread that ended meanwhile
+            with open(name) as fh:
+                pids.update(int(pid) for pid in fh.read().split())
+    return pids
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_outlives_its_test():
+    """Fail a test that leaves a child process running, or ended but not reaped."""
+    multiprocessing.resource_tracker.ensure_running()  # it serves the whole session
+    before = child_pids()
+    yield
+    if before is not None:
+        left = child_pids() - before
+        assert not left, f"child processes still there after the test: {sorted(left)}"
 
 
 @pytest.fixture(autouse=True)

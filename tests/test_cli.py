@@ -375,8 +375,8 @@ class TestEvaluateAndScore:
         assert "error: adapter process gave an undecodable answer for " in result.output
         assert not (tmp_path / "acc.csv").exists()
 
-    def test_subprocess_child_that_outlives_close(self, runner, materialized, tmp_path,
-                                                  monkeypatch):
+    def test_subprocess_child_that_outlives_its_last_answer(self, runner, materialized,
+                                                             tmp_path, monkeypatch):
         monkeypatch.setattr(harness, "CLOSE_WAIT_S", 0.2)
         result = self._evaluate_with_child(runner, materialized, tmp_path, """\
             import sys, time

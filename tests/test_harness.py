@@ -5,6 +5,7 @@ import os
 import re
 import shlex
 import shutil
+import signal
 import sys
 import textwrap
 import threading
@@ -47,9 +48,6 @@ class FixedAdapter:
 
     def predict(self, root, files):
         return [self.labels[e.output_path] for e, _ in files]
-
-    def close(self):
-        pass
 
 
 @pytest.fixture()
@@ -257,11 +255,8 @@ class TestChecksumsBeforePredictions:
                     print("x", flush=True)
         """)
         corrupt_last_entry(corpus)
-        try:
-            with pytest.raises(ManifestError, match="checksum mismatch"):
-                evaluate(adapter, corpus)
-        finally:
-            adapter.close()
+        with pytest.raises(ManifestError, match="checksum mismatch"):
+            evaluate(adapter, corpus)
         assert not received.exists() or received.read_bytes() == b""
 
 
@@ -302,7 +297,6 @@ def predict_within(adapter, root, names, seconds=30):
     if deadlocked:
         adapter._proc.kill()
         worker.join(timeout=10)
-    adapter.close()
     assert not deadlocked
     return outcome[0]
 
@@ -323,10 +317,7 @@ class TestSubprocessAdapter:
                 sys.stdout.flush()
         """))
         adapter = SubprocessAdapter(f"{sys.executable} {script}")
-        try:
-            series = evaluate(adapter, corpus, classifier_id="sub")
-        finally:
-            adapter.close()
+        series = evaluate(adapter, corpus, classifier_id="sub")
         # filenames carry the true label prefix, so this adapter is an oracle
         assert all(acc == 100.0 for acc in series.accuracies())
 
@@ -334,7 +325,6 @@ class TestSubprocessAdapter:
         adapter = SubprocessAdapter(f"{sys.executable} -c 'pass'")
         with pytest.raises(AdapterError):
             adapter.predict(tmp_path, stream(["x.pgm"]))
-        adapter.close()
         assert adapter._proc.stdin.closed and adapter._proc.stdout.closed
 
     def test_a_child_that_exits_before_answering_is_named_by_its_exit_status(self, corpus):
@@ -343,11 +333,8 @@ class TestSubprocessAdapter:
         command = shlex.join([sys.executable, "-c", "import sys; sys.exit(3)"])
         for _ in range(20):
             adapter = SubprocessAdapter(command)
-            try:
-                with pytest.raises(AdapterError) as caught:
-                    evaluate(adapter, corpus)
-            finally:
-                adapter.close()
+            with pytest.raises(AdapterError) as caught:
+                evaluate(adapter, corpus)
             assert str(caught.value) == (
                 f"adapter process gave no response for {first}: "
                 f"adapter process {command!r} exited with status 3"
@@ -376,10 +363,7 @@ class TestSubprocessAdapter:
                     print("x", flush=True)
         """)
         monkeypatch.chdir(corpus.parent)
-        try:
-            evaluate(adapter, corpus.name)
-        finally:
-            adapter.close()
+        evaluate(adapter, corpus.name)
         expected = "".join(
             f"{corpus.resolve() / e.output_path}\n" for e in evaluation_order(corpus)
         )
@@ -400,10 +384,7 @@ class TestSubprocessAdapter:
                 sys.stdout.write(label + ("\\r\\n" if i % 2 else "\\n"))
                 sys.stdout.flush()
         """, len(ordered))
-        try:
-            series = evaluate(adapter, corpus)
-        finally:
-            adapter.close()
+        series = evaluate(adapter, corpus)
         correct, total = {}, {}
         for i, e in enumerate(ordered):
             total[e.condition_id] = total.get(e.condition_id, 0) + 1
@@ -469,7 +450,8 @@ class TestSubprocessAdapter:
         """)
         error = predict_within(adapter, "/", ["img_0.pgm", "img_\udcff.pgm", "img_2.pgm"])
         assert isinstance(error, AdapterError) and "sending a path failed" in str(error)
-        # a child that was sent nothing is killed at close, maybe before it made its log
+        # a child that was sent nothing is killed before predict returns, maybe before it
+        # made its log
         assert not received.exists() or received.read_bytes() == b""
 
     @pytest.mark.parametrize("line_break", ["\n", "\r"])
@@ -496,11 +478,8 @@ class TestSubprocessAdapter:
                     log.write(line)
                     print(line.decode().rsplit("/", 1)[-1].split("_")[0], flush=True)
         """)
-        try:
-            with pytest.raises(AdapterError, match="sending a path failed: .*holds a line break"):
-                evaluate(adapter, corpus)
-        finally:
-            adapter.close()
+        with pytest.raises(AdapterError, match="sending a path failed: .*holds a line break"):
+            evaluate(adapter, corpus)
         assert not received.exists() or received.read_bytes() == b""
 
     @pytest.mark.parametrize("command,message", [
@@ -523,10 +502,7 @@ class TestSubprocessAdapter:
 
         monkeypatch.setattr(SubprocessAdapter, "predict_file", recorded)
         adapter = child_adapter(tmp_path, ECHO)
-        try:
-            evaluate(adapter, corpus)
-        finally:
-            adapter.close()
+        evaluate(adapter, corpus)
         root = str(corpus.resolve())
         assert seen == [os.path.join(root, e.output_path) for e in evaluation_order(corpus)]
 
@@ -539,18 +515,15 @@ class TestSubprocessAdapter:
             sys.stdin.readline()
             print("a", flush=True)
         """)
-        try:
-            assert adapter.predict(tmp_path, stream(["1.pgm"])) == ["a"]
-            with pytest.raises(AdapterError):
-                adapter.predict(tmp_path, stream(["2.pgm"]))
-            adapter._proc.wait(timeout=10)
-            with pytest.raises(AdapterError, match="exited with status 0"):
-                adapter.predict(tmp_path, stream(["3.pgm"]))
-        finally:
-            adapter.close()
+        with pytest.raises(AdapterError, match="2.pgm: .* exited with status 0$"):
+            adapter.predict(tmp_path, stream(["1.pgm", "2.pgm"]))
         assert len(pids.read_text().splitlines()) == 1
+        # each call has a child of its own: the next one starts one more
+        assert adapter.predict(tmp_path, stream(["3.pgm"])) == ["a"]
+        first, second = pids.read_text().splitlines()
+        assert first != second
 
-    def test_close_kills_a_child_that_does_not_exit(self, tmp_path, monkeypatch):
+    def test_predict_kills_a_child_that_does_not_exit(self, tmp_path, monkeypatch):
         monkeypatch.setattr(harness, "CLOSE_WAIT_S", 0.2)
         adapter = child_adapter(tmp_path, """\
             import sys, time
@@ -558,28 +531,22 @@ class TestSubprocessAdapter:
             print("a", flush=True)
             time.sleep(60)
         """)
-        try:
-            with pytest.raises(TimeoutError, match="of its last answer; killed it"):
-                adapter.predict(tmp_path, stream(["1.pgm"]))
-        finally:
-            adapter.close()
+        with pytest.raises(TimeoutError, match="of its last answer; killed it"):
+            adapter.predict(tmp_path, stream(["1.pgm"]))
         assert adapter._proc.returncode is not None
 
     @pytest.mark.parametrize("lingers", [False, True])
-    def test_close_leaves_no_thread_behind(self, tmp_path, monkeypatch, lingers):
+    def test_predict_leaves_no_thread_behind(self, tmp_path, monkeypatch, lingers):
         # the writer ends with predict, whether or not the child exits in time
         monkeypatch.setattr(harness, "CLOSE_WAIT_S", 0.2)
         linger = "    import time; time.sleep(60)\n" if lingers else ""
         adapter = child_adapter(tmp_path, ECHO + linger)
         before = threading.active_count()
-        try:
-            if lingers:
-                with pytest.raises(TimeoutError, match="killed"):
-                    adapter.predict(tmp_path, stream(["1.pgm"]))
-            else:
-                assert adapter.predict(tmp_path, stream(["1.pgm"])) == [str(tmp_path / "1.pgm")]
-        finally:
-            adapter.close()
+        if lingers:
+            with pytest.raises(TimeoutError, match="killed"):
+                adapter.predict(tmp_path, stream(["1.pgm"]))
+        else:
+            assert adapter.predict(tmp_path, stream(["1.pgm"])) == [str(tmp_path / "1.pgm")]
         assert threading.active_count() == before
         assert adapter._proc.returncode is not None
 
@@ -591,18 +558,10 @@ class TestSubprocessAdapter:
         names = [f"img_{i:04d}.pgm" for i in range(50)]
         assert predict_within(adapter, "/", names, seconds=10) == ["/" + n for n in names]
 
-    def test_predict_reaps_the_child_before_it_returns(self, tmp_path, monkeypatch):
+    def test_predict_reaps_the_child_before_it_returns(self, tmp_path):
         adapter = child_adapter(tmp_path, ECHO + "    sys.exit(7)\n")
-        status_at_close = []
-        close = adapter.close
-
-        def recorded():
-            status_at_close.append(adapter._proc.returncode)
-            close()
-
-        monkeypatch.setattr(adapter, "close", recorded)
         assert predict_within(adapter, "/", ["a.pgm", "b.pgm"], seconds=10) == ["/a.pgm", "/b.pgm"]
-        assert status_at_close == [7]
+        assert adapter._proc.returncode == 7
 
     def test_a_child_that_answers_without_reading_its_input_is_killed(
         self, tmp_path, monkeypatch
@@ -629,18 +588,33 @@ class TestSubprocessAdapter:
         assert threading.active_count() == before
         assert adapter._proc.returncode is not None
 
-    def test_close_kills_a_child_that_was_sent_nothing_at_once(self, tmp_path):
+    def test_evaluate_kills_a_child_that_was_sent_nothing_at_once(self, tmp_path, corpus):
         adapter = child_adapter(tmp_path, """\
             import sys, time
             time.sleep(30)
             sys.stdin.readline()
         """)
-        proc = adapter._ensure()
+        corrupt_last_entry(corpus)
         begun = time.monotonic()
-        adapter.close()  # no TimeoutError: the child had nothing to finish
+        with pytest.raises(ManifestError, match="checksum mismatch"):
+            evaluate(adapter, corpus)  # no TimeoutError: the child had nothing to finish
         assert time.monotonic() - begun < harness.CLOSE_WAIT_S / 4
+        proc = adapter._proc
         assert proc.returncode is not None
         assert proc.stdin.closed and proc.stdout.closed
+
+    def test_an_interrupt_while_the_files_are_read_kills_and_reaps_the_child(self, tmp_path):
+        adapter = child_adapter(tmp_path, ECHO)
+
+        def interrupted():
+            yield from stream(["a.pgm"])
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            adapter.predict("/", interrupted())
+        assert adapter._proc.returncode == -signal.SIGKILL
+        assert adapter._proc.stdin.closed and adapter._proc.stdout.closed
+        assert not [t.name for t in threading.enumerate() if t.name.startswith("asibench-")]
 
 
 LOG_AND_ANSWER_X = """\
@@ -679,10 +653,7 @@ class TestOneNamePerCorpusFile:
         monkeypatch.setattr(registry, "sha256_file", spy)
         received = tmp_path / "received.txt"
         adapter = child_adapter(tmp_path, cls.LOG_AND_ANSWER, received)
-        try:
-            series = evaluate(adapter, corpus_dir)
-        finally:
-            adapter.close()
+        series = evaluate(adapter, corpus_dir)
         return series, opened, received.read_text().splitlines()
 
     def test_from_a_relative_corpus_path(self, tmp_path, corpus, monkeypatch):
@@ -754,10 +725,7 @@ class TestEvaluationOrder:
             log = corpus.with_suffix(".log")
             adapter = (ToyClassifierAdapter() if kind == "toy"
                        else child_adapter(tmp_path, LOG_AND_ANSWER_X, log))
-            try:
-                series = evaluate(adapter, corpus, classifier_id=kind)
-            finally:
-                adapter.close()
+            series = evaluate(adapter, corpus, classifier_id=kind)
             assert [c for c, _ in series.entries] == [0, 1, 2]
             save_accuracy_table([series], corpus.with_suffix(".csv"))
             tables.append(corpus.with_suffix(".csv").read_bytes())
@@ -797,7 +765,6 @@ class TestEvaluateMemory:
                 return files, tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-                adapter.close()
 
         peak(12, "warm")
         (small, small_peak), (large, large_peak) = peak(12, "small"), peak(24, "large")
