@@ -9,6 +9,7 @@ accuracy per condition as a ``metrics.AccuracySeries``.
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 import shlex
 import subprocess
@@ -59,10 +60,16 @@ class ToyClassifierAdapter:
     def _features(self, data: bytes, path: str) -> np.ndarray:
         """Per-channel mean and standard deviation of the decoded pixels / 255.
 
-        The same ufunc steps as ``np.mean`` and ``np.std`` (sum, divide; subtract,
-        square, sum, divide, sqrt) over the same float64 layout, so the result is
-        bit for bit theirs, computed in one reused buffer instead of per-image
-        temporaries.
+        Both come from exact integer moments of the 8-bit values k: S1 = sum(k)
+        and S2 = sum(k**2) per channel, summed over a float64 copy of the pixels,
+        one contiguous row per channel, in one reused buffer. Every partial
+        sum is an integer below 2**53 while an image has fewer than
+        2**53 / 255**2 (about 1.4e11) pixels, so both sums are exact in any
+        order. Then, in Python integers, mean = S1 / (255 n), correctly
+        rounded, and std = sqrt((n S2 - S1**2) / (255 n)**2), the root of a
+        correctly rounded quotient. So the features depend on the pixel
+        values only, not on their order: a constant image k gives exactly
+        (k / 255, 0.0).
         """
         pixels = decode_netpbm(data, path)
         h, w, c = pixels.shape
@@ -75,18 +82,14 @@ class ToyClassifierAdapter:
         n = h * w
         if self._scratch.size < n * c:
             self._scratch = np.empty(n * c)
-        x = self._scratch[: n * c].reshape(n, c)
-        np.divide(pixels.reshape(n, c), 255.0, out=x)
-        feat = np.empty(2 * c)
-        mean, std = feat[:c], feat[c:]
-        np.add.reduce(x, axis=0, out=mean)
-        np.divide(mean, n, out=mean)
-        np.subtract(x, mean, out=x)
-        np.multiply(x, x, out=x)
-        np.add.reduce(x, axis=0, out=std)
-        np.divide(std, n, out=std)
-        np.sqrt(std, out=std)
-        return feat
+        x = self._scratch[: n * c].reshape(c, n)  # one contiguous row per channel
+        np.copyto(x, pixels.reshape(n, c).T)
+        s1 = np.add.reduce(x, axis=1).tolist()
+        s2 = np.einsum("ij,ij->i", x, x).tolist()
+        scale = 255 * n
+        means = [int(a) / scale for a in s1]
+        stds = [math.sqrt((n * int(b) - int(a) ** 2) / scale**2) for a, b in zip(s1, s2)]
+        return np.array(means + stds)
 
     def predict(self, root: str, files) -> list[str]:
         """Fit on this corpus's condition 0, then label every image from its verified bytes."""
@@ -144,9 +147,15 @@ class SubprocessAdapter:
     def _ensure(self):
         """Start the child of this call; the benchmark counts spawns by this name."""
         # not line-buffered: the writer thread flushes as it closes the input
-        self._proc = subprocess.Popen(
-            self._argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True
-        )
+        try:
+            self._proc = subprocess.Popen(
+                self._argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True
+            )
+        except OSError as exc:
+            raise OSError(
+                f"adapter spec {'subprocess:' + self.command!r}: could not start the command "
+                f"{self._argv[0]!r}: {exc.strerror or exc}"
+            ) from None
         return self._proc
 
     def predict(self, root: str, files) -> list[str]:

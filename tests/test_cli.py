@@ -479,6 +479,31 @@ class TestEvaluateAndScore:
         assert isinstance(result.exception, SystemExit)
         assert result.output == f"error: {message}\n"
 
+    @pytest.mark.parametrize("kind,reason", [
+        ("missing", "No such file or directory"),
+        ("directory", "Permission denied"),
+    ])
+    def test_a_subprocess_command_that_cannot_be_started_exits_2_naming_the_spec(
+        self, runner, materialized, tmp_path, kind, reason
+    ):
+        command = str(tmp_path / "no_such_cmd_xyz") if kind == "missing" else str(tmp_path)
+        spec = "subprocess:" + shlex.quote(command)
+        result = runner.invoke(main, [
+            "evaluate", "--corpus", str(materialized), "--adapter", spec,
+            "--out", str(tmp_path / "acc.csv"),
+        ])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.output == (
+            f"error: adapter spec {spec!r}: could not start the command {command!r}: {reason}\n"
+        )
+        assert not (tmp_path / "acc.csv").exists()
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text("utf-8")
+        readme = " ".join(readme.split())  # the prose as one line
+        assert ("A command that cannot be started (no such program, or a directory or a file "
+                "that may not be run) fails `evaluate` with exit code 2, naming the adapter "
+                "spec and saying that the command could not be started") in readme
+
     @pytest.mark.parametrize("adapter", ["toy", "file", "subprocess"])
     def test_corrupted_last_file_exits_1_before_any_prediction(
         self, runner, materialized, tmp_path, adapter

@@ -1,6 +1,7 @@
 import builtins
 import csv
 import io
+import math
 import os
 import re
 import shlex
@@ -12,6 +13,7 @@ import threading
 import time
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -138,13 +140,28 @@ def corrupt_last_entry(corpus):
 
 class TestToyClassifierAdapter:
     @staticmethod
-    def reference(u8):
-        """The features as the float64 image gives them: u8 / 255.0, then mean and std."""
+    def exact(u8):
+        """The features from exact moments: Fraction mean and variance of u8 / 255 per channel."""
+        flat = u8.reshape(-1, u8.shape[2])
+        n = len(flat)
+        means, stds = [], []
+        for j in range(flat.shape[1]):
+            counts = np.bincount(flat[:, j], minlength=256).tolist()
+            mean = sum(m * Fraction(k, 255) for k, m in enumerate(counts)) / n
+            var = sum(m * (Fraction(k, 255) - mean) ** 2 for k, m in enumerate(counts)) / n
+            means.append(float(mean))
+            stds.append(math.sqrt(float(var)))
+        return np.array(means + stds)
+
+    @staticmethod
+    def float64(u8):
+        """The features as float64 gives them: np.mean and np.std of u8 / 255.0, per channel."""
         flat = (u8.astype(np.float64) / 255.0).reshape(-1, u8.shape[2])
-        return np.concatenate([flat.mean(axis=0), flat.std(axis=0)])
+        rows = [np.ascontiguousarray(flat[:, j]) for j in range(flat.shape[1])]
+        return np.array([np.mean(r) for r in rows] + [np.std(r) for r in rows])
 
     @pytest.mark.parametrize("channels", [1, 3])
-    def test_features_equal_the_float64_reference(self, channels):
+    def test_features_equal_the_exact_moments(self, channels):
         rng = np.random.default_rng(channels)
         adapter = ToyClassifierAdapter()
         # small and large shapes in turn, so the reused buffer holds a bigger
@@ -156,7 +173,32 @@ class TestToyClassifierAdapter:
                 u8 = np.clip(rng.normal(128, 20, size=u8.shape), 0, 255).astype(np.uint8)
             data = netpbm_bytes(Image(u8 / 255.0))
             feat = adapter._features(data, Path(f"img_{i}"))
-            assert np.array_equal(feat, self.reference(u8)), (h, w, channels)
+            assert np.array_equal(feat, self.exact(u8)), (h, w, channels)
+            # and within 4 ulp of float64's answer, taken one contiguous channel
+            # at a time: numpy's axis-0 sum over an (n, 3) array adds its rows
+            # one by one, and on a 224x224 image drifts some 150 ulp itself
+            reference = self.float64(u8)
+            assert np.all(np.abs(feat - reference) <= 4 * np.spacing(reference)), (h, w, channels)
+
+    @pytest.mark.parametrize("shape", [(224, 224, 1), (37, 52, 1), (37, 52, 3)])
+    def test_a_constant_image_gives_its_value_and_a_zero_deviation(self, shape):
+        adapter = ToyClassifierAdapter()
+        c = shape[2]
+        for k in range(256):
+            data = netpbm_bytes(Image(np.full(shape, k / 255.0)))
+            feat = adapter._features(data, Path(f"img_{k}"))
+            assert feat.tolist() == [k / 255] * c + [0.0] * c, (k, shape)
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_permuting_the_pixels_leaves_the_features_bit_identical(self, channels):
+        rng = np.random.default_rng(10 + channels)
+        adapter = ToyClassifierAdapter()
+        for i in range(50):
+            u8 = rng.integers(0, 256, size=(64, 64, channels), dtype=np.uint8)
+            shuffled = rng.permutation(u8.reshape(-1, channels)).reshape(u8.shape)
+            feat = adapter._features(netpbm_bytes(Image(u8 / 255.0)), Path(f"img_{i}"))
+            again = adapter._features(netpbm_bytes(Image(shuffled / 255.0)), Path(f"perm_{i}"))
+            assert feat.tobytes() == again.tobytes(), (i, channels)
 
     def test_each_corpus_file_is_opened_once(self, corpus, monkeypatch):
         opened = Counter()
@@ -549,6 +591,25 @@ class TestSubprocessAdapter:
             assert adapter.predict(tmp_path, stream(["1.pgm"])) == [str(tmp_path / "1.pgm")]
         assert threading.active_count() == before
         assert adapter._proc.returncode is not None
+
+    @pytest.mark.parametrize("kind,reason", [
+        ("missing", "No such file or directory"),
+        ("directory", "Permission denied"),
+    ])
+    def test_a_command_that_cannot_be_started_is_named_by_its_spec(
+        self, tmp_path, corpus, kind, reason
+    ):
+        command = str(tmp_path / "no_such_cmd_xyz") if kind == "missing" else str(tmp_path)
+        spec = "subprocess:" + shlex.quote(command)
+        adapter = make_adapter(spec)
+        before = threading.active_count()
+        with pytest.raises(OSError) as failure:
+            evaluate(adapter, corpus)
+        assert str(failure.value) == (
+            f"adapter spec {spec!r}: could not start the command {command!r}: {reason}"
+        )
+        assert threading.active_count() == before
+        assert adapter._proc is None
 
     def test_a_child_that_reads_every_path_before_answering_gets_every_answer(self, tmp_path):
         adapter = child_adapter(tmp_path, """\
